@@ -1,7 +1,7 @@
 """Command-line interface: compute, export and render the phase diagrams.
 
 Subcommands: slice, surface, census, critical, maxwell, potential.
-Common flags: --format {csv,json,svg}, --out PATH, --tol X, --seed-grid N.
+Common flags: --format {csv,json,svg}, --out PATH, --tol X.
 Exit codes: 0 success, 2 domain error, 3 numerical failure.
 """
 
@@ -19,15 +19,17 @@ from . import export, svg
 from .bifurcation import slice_curves, surface_patches
 from .critical import all_critical_temps
 from .errors import DomainError, NumericalError
-from .maxwell import (BETA_BUTTERFLY, BETA_ELLIS_WANG,
+from .maxwell import (BETA_BUTTERFLY, BETA_ELLIS_WANG, _segment_to_triple,
                       beyond_ellis_wang_segment, coexistence_curve,
                       symmetric_segment, track_segment_pair, triple_point)
-from .model import (DEFAULT_TOL, AprioriMeasure, ModelParams,
+from .model import (DEFAULT_TOL, AprioriMeasure, ModelParams, _check_beta,
                     batch_free_energy, batch_from_xy, batch_pq, batch_uv,
                     batch_xy, from_pq, from_uv)
 from .stationary import PointKind, census
 
 SQRT3 = math.sqrt(3.0)
+# Float flags that must be finite and positive wherever a subcommand has them.
+_POSITIVE_FLAGS = ("beta", "beta_max", "extent", "step", "tol")
 
 
 @contextlib.contextmanager
@@ -55,18 +57,23 @@ def _tolerances(args):
     return dataclasses.replace(DEFAULT_TOL, residual=args.tol)
 
 
+def _floats(flag, text, n):
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) != n:
+        raise DomainError(f"{flag} needs {n} comma-separated numbers, "
+                          f"got {text!r}")
+    return parts
+
+
 def _parse_alpha(args) -> AprioriMeasure:
     if getattr(args, "alpha", None):
-        parts = [float(p) for p in args.alpha.split(",")]
-        if len(parts) != 3:
-            raise DomainError("--alpha needs three comma-separated values")
-        return AprioriMeasure(*parts)
+        return AprioriMeasure(*_floats("--alpha", args.alpha, 3))
     if getattr(args, "uv", None):
-        parts = [float(p) for p in args.uv.split(",")]
-        if len(parts) != 2:
-            raise DomainError("--uv needs two comma-separated values")
         from .model import CoordUV
-        return from_uv(CoordUV(parts[0], parts[1]))
+        return from_uv(CoordUV(*_floats("--uv", args.uv, 2)))
     return AprioriMeasure.uniform()
 
 
@@ -91,8 +98,7 @@ def _slice_records(curves):
     return records
 
 
-def label_slice_cells(beta, curves, extent, resolution=512, seed_grid=64,
-                      tol=DEFAULT_TOL):
+def label_slice_cells(beta, curves, extent, resolution=512, tol=DEFAULT_TOL):
     """Census label per cell of the slice arrangement inside the window.
 
     Returns a list of (region, n_local_minima or None)."""
@@ -106,15 +112,13 @@ def label_slice_cells(beta, curves, extent, resolution=512, seed_grid=64,
             continue
         from .model import CoordPQ
         alpha = from_pq(CoordPQ(*region.probe))
-        cens = census(ModelParams(beta, alpha), grid_density=seed_grid, tol=tol)
+        cens = census(ModelParams(beta, alpha), tol=tol)
         out.append((region, cens.n_local_minima))
     return out
 
 
 def cmd_slice(args) -> int:
     beta = args.beta
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta}")
     tol = _tolerances(args)
     curves = [] if beta <= 2.0 else slice_curves(beta, args.samples)
 
@@ -122,8 +126,7 @@ def cmd_slice(args) -> int:
         labels = []
         if args.label_cells:
             for region, count in label_slice_cells(
-                    beta, curves, args.extent, args.resolution,
-                    args.seed_grid, tol):
+                    beta, curves, args.extent, args.resolution, tol):
                 text = "?" if count is None else str(count)
                 labels.append((region.centroid[0], region.centroid[1], text))
         doc = svg.render_curves(
@@ -240,7 +243,7 @@ def _census_records(cens):
 def cmd_census(args) -> int:
     alpha = _parse_alpha(args)
     params = ModelParams(args.beta, alpha)
-    cens = census(params, grid_density=args.seed_grid, tol=_tolerances(args))
+    cens = census(params, tol=_tolerances(args))
     if args.out in (None, "-") and args.format == "csv" and not args.records:
         print(f"beta = {params.beta!r}, alpha = ({alpha.a1!r}, {alpha.a2!r}, "
               f"{alpha.a3!r})")
@@ -310,7 +313,7 @@ def _maxwell_data(beta, step, segment_samples, tol):
     tp = None
     if BETA_BUTTERFLY < beta < BETA_ELLIS_WANG:
         tp = triple_point(beta, tol=tol)
-        segment = symmetric_segment(beta, tol=tol)
+        segment = _segment_to_triple(tp)
     else:
         segment = symmetric_segment(beta, tol=tol)
 
@@ -347,8 +350,6 @@ def _maxwell_data(beta, step, segment_samples, tol):
 
 def cmd_maxwell(args) -> int:
     beta = args.beta
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta}")
     tol = _tolerances(args)
     records, curves_uv, triple = _maxwell_data(beta, args.step,
                                                args.segment_samples, tol)
@@ -405,8 +406,7 @@ def cmd_potential(args) -> int:
     xs, ys, nu, values = _potential_grid(params.beta, alpha, args.grid)
 
     if args.format == "svg":
-        cens = census(params, grid_density=args.seed_grid,
-                      tol=_tolerances(args))
+        cens = census(params, tol=_tolerances(args))
         minima = [tuple(batch_xy(p.nu.array))
                   for p in cens.points if p.kind is PointKind.MINIMUM]
         doc = svg.render_potential(
@@ -447,8 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output path ('-' or omitted: stdout)")
         p.add_argument("--tol", type=float, default=None,
                        help="stationarity residual tolerance override")
-        p.add_argument("--seed-grid", type=int, default=64,
-                       help="seed lattice density for censuses")
         p.add_argument("--records", action="store_true",
                        help="force record output instead of a summary table")
 
@@ -507,6 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in _POSITIVE_FLAGS:
+            if getattr(args, name, None) is not None:
+                flag = "--" + name.replace("_", "-")
+                setattr(args, name, _check_beta(getattr(args, name), flag))
         return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

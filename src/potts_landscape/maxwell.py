@@ -113,10 +113,13 @@ def symmetric_segment(beta: float, tol: ToleranceConfig = DEFAULT_TOL) -> AxisSe
     if beta <= BETA_BUTTERFLY:
         return AxisSegment(beta, -0.5, segment_upper_endpoint_y(beta))
     if beta < BETA_ELLIS_WANG:
-        tp = triple_point(beta, tol=tol)
-        y_triple = float(batch_xy(tp.alpha.array)[1])
-        return AxisSegment(beta, -0.5, y_triple)
+        return _segment_to_triple(triple_point(beta, tol=tol))
     return AxisSegment(beta, -0.5, 0.0)
+
+
+def _segment_to_triple(tp: CoexistencePoint) -> AxisSegment:
+    """The symmetric segment ending at an already solved triple point."""
+    return AxisSegment(tp.beta, -0.5, float(batch_xy(tp.alpha.array)[1]))
 
 
 def _alpha_on_axis(y: float) -> np.ndarray:
@@ -511,7 +514,7 @@ def coexistence_curve(beta: float, step: float = 0.005,
             t = oriented_tangent(w, t)
         mu, nu = _pair_from_state(w)
         alpha = AprioriMeasure.from_array(batch_catastrophe(beta, nu))
-        cens = census(ModelParams(beta, alpha), grid_density=48, tol=tol)
+        cens = census(ModelParams(beta, alpha), tol=tol)
         if len(cens.global_minimizers) != 2:
             return None
         found = np.stack([p.nu.array for p in cens.global_minimizers])
@@ -579,8 +582,8 @@ def ivp_tangent(point: CoexistencePoint) -> float:
 
 
 def beyond_ellis_wang_segment(beta: float,
-                              tol: ToleranceConfig = DEFAULT_TOL,
-                              grid_density: int = 64) -> BeyondEllisWangSegment:
+                              tol: ToleranceConfig = DEFAULT_TOL
+                              ) -> BeyondEllisWangSegment:
     """Axis coexistence segment {x = 0} x (-1/2, 0) for beta at or beyond
     the four-phase temperature, with the zero-field census attached (four
     equal global minima exactly at the four-phase temperature, three
@@ -590,8 +593,7 @@ def beyond_ellis_wang_segment(beta: float,
         raise DomainError(
             f"segment requires beta >= 4 log 2, got {beta}")
     depth_tol = dataclasses.replace(tol, depth=tol.coexistence_depth)
-    cens = census(ModelParams(beta, AprioriMeasure.uniform()),
-                  grid_density=grid_density, tol=depth_tol)
+    cens = census(ModelParams(beta, AprioriMeasure.uniform()), tol=depth_tol)
     return BeyondEllisWangSegment(segment=AxisSegment(beta, -0.5, 0.0),
                                   uniform_census=cens)
 

@@ -142,9 +142,7 @@ class ModelParams:
     alpha: AprioriMeasure
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", float(self.beta))
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise DomainError(f"beta must be finite and positive, got {self.beta!r}")
+        object.__setattr__(self, "beta", _check_beta(self.beta))
 
 
 @dataclass(frozen=True)
@@ -416,10 +414,11 @@ def hessian_local(params: ModelParams, nu: SpinDistribution) -> np.ndarray:
     return batch_hessian(params.beta, nu.array)
 
 
-def _check_beta(beta: float) -> float:
+def _check_beta(beta: float, name: str = "beta") -> float:
+    """``beta`` (or any quantity ``name``) as a finite positive float."""
     beta = float(beta)
     if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta must be finite and positive, got {beta!r}")
+        raise DomainError(f"{name} must be finite and positive, got {beta!r}")
     return beta
 
 

@@ -262,7 +262,7 @@ def test_10_morse_index_sum(rng):
             alpha = pl.AprioriMeasure.from_array(
                 random_interior(rng, 1, 0.03)[0])
             points = pl.find_stationary_points(
-                pl.ModelParams(beta, alpha), grid_density=48)
+                pl.ModelParams(beta, alpha))
             if any(p.kind is PointKind.DEGENERATE for p in points):
                 continue
             n_min = sum(p.kind is PointKind.MINIMUM for p in points)

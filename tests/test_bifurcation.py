@@ -272,8 +272,7 @@ class TestSliceCellStructure:
         # curve plus images form three rockets; count cells via labels
         from potts_landscape.cli import label_slice_cells
         curves = pl.slice_curves(2.3, samples_per_interval=800)
-        labelled = label_slice_cells(2.3, curves, extent=6.0, resolution=512,
-                                     seed_grid=32)
+        labelled = label_slice_cells(2.3, curves, extent=6.0, resolution=512)
         counts = sorted(c for _, c in labelled if c is not None)
         assert counts.count(2) == 3     # one per rocket interior
         assert 1 in counts              # the outer cell

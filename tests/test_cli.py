@@ -17,6 +17,30 @@ def run(args):
     return main(args)
 
 
+def assert_domain_error(capsys, args):
+    """Exit code 2, one 'domain error:' line on stderr, nothing written."""
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("domain error:"), lines
+    assert captured.out == ""
+
+
+class TestNonFiniteInput:
+    def test_slice_beta_nan(self, capsys):
+        assert_domain_error(capsys, ["slice", "--beta", "nan"])
+
+    def test_surface_beta_max_nan(self, capsys):
+        assert_domain_error(capsys, ["surface", "--beta-max", "nan"])
+
+    def test_slice_beta_inf(self, capsys):
+        assert_domain_error(capsys, ["slice", "--beta", "inf"])
+
+    def test_slice_extent_nan_svg(self, capsys):
+        assert_domain_error(capsys, ["slice", "--beta", "2.3", "--extent",
+                                     "nan", "--format", "svg"])
+
+
 class TestCritical:
     def test_prints_ordered_values(self, capsys):
         assert run(["critical"]) == 0
@@ -97,8 +121,7 @@ class TestSlice:
 
 class TestCellLabels:
     def test_empty_slice_single_cell_one_minimum(self):
-        labelled = label_slice_cells(1.5, [], extent=6.0, resolution=128,
-                                     seed_grid=32)
+        labelled = label_slice_cells(1.5, [], extent=6.0, resolution=128)
         counted = [c for _, c in labelled if c is not None]
         assert counted == [1]
 
@@ -107,7 +130,7 @@ class TestCellLabels:
         # is tiny; zoom in to resolve it
         curves = pl.slice_curves(2.75, samples_per_interval=6000)
         labelled = label_slice_cells(2.75, curves, extent=0.02,
-                                     resolution=512, seed_grid=48)
+                                     resolution=512)
         origin_cells = [
             (region, count) for region, count in labelled
             if count is not None
@@ -119,8 +142,7 @@ class TestCellLabels:
         # cells mapped onto each other by the symmetry carry equal labels:
         # the three rocket interiors at beta = 2.3 all read 2
         curves = pl.slice_curves(2.3, samples_per_interval=800)
-        labelled = label_slice_cells(2.3, curves, extent=6.0, resolution=512,
-                                     seed_grid=32)
+        labelled = label_slice_cells(2.3, curves, extent=6.0, resolution=512)
         rocket_counts = [c for region, c in labelled
                          if c is not None and region.n_pixels < 30000]
         assert rocket_counts.count(2) == 3
@@ -203,6 +225,10 @@ class TestCensusCommand:
 
     def test_bad_beta_exit_code(self):
         assert run(["census", "--beta", "-3"]) == 2
+
+    def test_malformed_alpha_is_domain_error(self, capsys):
+        assert_domain_error(capsys, ["census", "--beta", "2.0",
+                                     "--alpha", "a,b,c"])
 
     def test_numerical_failure_exit_code(self, monkeypatch):
         import potts_landscape.cli as cli

@@ -234,7 +234,7 @@ class TestAxisSymmetry:
             assert alpha.a1 == alpha.a2 < alpha.a3
             params = pl.ModelParams(beta, alpha)
             brute = pl.brute_force_global_min(params, 150)
-            cens = pl.census(params, grid_density=48)
+            cens = pl.census(params)
             found = np.stack([p.nu.array for p in cens.global_minimizers])
             for g in cens.global_minimizers:
                 mirror = g.nu.array[[1, 0, 2]]

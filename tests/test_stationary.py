@@ -5,8 +5,10 @@ import pytest
 
 import potts_landscape as pl
 from potts_landscape.maxwell import segment_upper_endpoint_y
-from potts_landscape.model import batch_gradient
-from potts_landscape.stationary import PointKind, barycentric_grid
+from potts_landscape.model import (batch_catastrophe, batch_degeneracy_lhs,
+                                   batch_gradient)
+from potts_landscape.stationary import (PointKind, barycentric_grid, classify,
+                                        stationary_points_from_seeds)
 
 from conftest import random_interior
 
@@ -44,10 +46,6 @@ class TestFindStationaryPoints:
         assert count[PointKind.MAXIMUM] == 1
         peak = next(p for p in points if p.kind is PointKind.MAXIMUM)
         assert np.abs(peak.nu.array - 1.0 / 3.0).max() < 1e-9
-
-    def test_grid_density_validated(self):
-        with pytest.raises(pl.DomainError):
-            pl.find_stationary_points(pl.ModelParams(2.0, AUNIFORM), grid_density=4)
 
     def test_gradient_residual_invariant(self, rng):
         for beta in (1.7, 2.75, 3.4):
@@ -88,15 +86,13 @@ class TestCensus:
         alphas = random_interior(rng, 10, margin=0.05)
         betas = rng.uniform(2.1, 3.5, 10)
         for beta, a in zip(betas, alphas):
-            base = pl.census(pl.ModelParams(beta, pl.AprioriMeasure.from_array(a)),
-                             grid_density=32)
+            base = pl.census(pl.ModelParams(beta, pl.AprioriMeasure.from_array(a)))
             base_minima = np.array(sorted(
                 map(tuple, (p.nu.array for p in base.points
                             if p.kind is PointKind.MINIMUM))))
             for perm in pl.PERMUTATIONS:
                 other = pl.census(
-                    pl.ModelParams(beta, pl.AprioriMeasure.from_array(perm.apply(a))),
-                    grid_density=32)
+                    pl.ModelParams(beta, pl.AprioriMeasure.from_array(perm.apply(a))))
                 assert other.n_local_minima == base.n_local_minima
                 other_minima = np.array(sorted(
                     map(tuple, (p.nu.array for p in other.points
@@ -111,8 +107,7 @@ class TestMorseIndex:
         while checked < 50:
             beta = float(rng.uniform(0.5, 4.0))
             alpha = pl.AprioriMeasure.from_array(random_interior(rng, 1, 0.03)[0])
-            points = pl.find_stationary_points(pl.ModelParams(beta, alpha),
-                                               grid_density=48)
+            points = pl.find_stationary_points(pl.ModelParams(beta, alpha))
             if any(p.kind is PointKind.DEGENERATE for p in points):
                 continue
             count = kinds(points)
@@ -150,7 +145,7 @@ class TestBruteForce:
             alpha = pl.AprioriMeasure.from_array(random_interior(rng, 1, 0.03)[0])
             params = pl.ModelParams(beta, alpha)
             brute = pl.brute_force_global_min(params, 120)
-            cens = pl.census(params, grid_density=32)
+            cens = pl.census(params)
             dists = [np.abs(g.nu.array - brute.array).max()
                      for g in cens.global_minimizers]
             assert min(dists) <= 1e-5
@@ -178,3 +173,105 @@ class TestSeedGrid:
         assert np.abs(grid - 1.0 / 3.0).max(axis=1).min() < 1e-12
         assert grid.min() >= 1e-3 - 1e-15
         assert np.abs(grid.sum(axis=1) - 1.0).max() < 1e-12
+
+
+def _nearest(points, nu):
+    """Index of and max-norm distance to the census point nearest to nu."""
+    dist = np.array([np.abs(p.nu.array - nu).max() for p in points])
+    return int(np.argmin(dist)), float(dist.min())
+
+
+def _near_fold(rng, beta, target):
+    """An interior point (margin 0.02) with |degeneracy lhs| = target, by
+    bisection along a segment whose ends have opposite lhs signs."""
+    while True:
+        a, b = random_interior(rng, 2, margin=0.02)
+        la, lb = batch_degeneracy_lhs(beta, a), batch_degeneracy_lhs(beta, b)
+        if la * lb < 0.0:
+            break
+    goal = math.copysign(target, la)
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (batch_degeneracy_lhs(beta, (1 - mid) * a + mid * b) - goal) * la > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (1 - lo) * a + lo * b
+
+
+def _axis_roots(beta):
+    """Roots m != 1/3 of the Ellis-Wang axis function along nu = (m, m,
+    1 - 2m), by a dense sign scan and bisection."""
+    def g(m):
+        return np.log(m) - np.log(1.0 - 2.0 * m) + beta * (1.0 - 3.0 * m)
+    ends = np.geomspace(1e-13, 1e-2, 400)
+    m = np.unique(np.concatenate([ends, np.linspace(1e-2, 0.49, 20001),
+                                  0.5 - ends]))
+    gm = g(m)
+    k = np.flatnonzero(gm[:-1] * gm[1:] < 0.0)
+    lo, hi = m[k], m[k + 1]
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        left = np.sign(g(mid)) == np.sign(g(lo))
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    roots = np.concatenate([0.5 * (lo + hi), m[gm == 0.0]])
+    return roots[np.abs(roots - 1.0 / 3.0) > 1e-9]
+
+
+class TestCompleteness:
+    """The census against methods that do not share its search."""
+
+    def test_planted_points_found(self, rng):
+        cases = [(float(rng.uniform(0.5, 4.0)),
+                  random_interior(rng, 1, margin=0.02)[0]) for _ in range(60)]
+        for target in (1e-2, 1e-4):
+            for _ in range(30):
+                beta = float(rng.uniform(2.2, 4.0))
+                cases.append((beta, _near_fold(rng, beta, target)))
+        for beta, nu0 in cases:
+            alpha = pl.AprioriMeasure.from_array(batch_catastrophe(beta, nu0))
+            points = pl.census(pl.ModelParams(beta, alpha)).points
+            j, dist = _nearest(points, nu0)
+            assert dist <= 1e-8, (beta, nu0.tolist(), dist)
+            assert points[j].kind is classify(beta, nu0)[2], (beta, nu0)
+
+    @pytest.mark.parametrize("beta", [1.5, 18 / 7, 2.62, 2.75, 3.0,
+                                      4 * math.log(2), 3.5, 6.0])
+    def test_zero_field_exact_set(self, beta):
+        exact = [np.full(3, 1.0 / 3.0)]
+        for m in _axis_roots(beta):
+            for axis in range(3):
+                nu = np.full(3, m)
+                nu[axis] = 1.0 - 2.0 * m
+                exact.append(nu)
+        points = pl.census(pl.ModelParams(beta, AUNIFORM)).points
+        assert len(points) == len(exact)
+        for nu in exact:
+            j, dist = _nearest(points, nu)
+            assert dist <= 1e-9, (beta, nu.tolist(), dist)
+            assert points[j].kind is classify(beta, nu)[2]
+
+    def _agrees_with_lattice(self, beta, a):
+        points = pl.find_stationary_points(
+            pl.ModelParams(beta, pl.AprioriMeasure.from_array(a)))
+        for p in points:
+            g = batch_gradient(beta, a, p.nu.array)
+            assert np.linalg.norm(g) <= 1e-10
+        for q in stationary_points_from_seeds(beta, a, barycentric_grid(64)):
+            j, dist = _nearest(points, q.nu.array)
+            assert dist <= 1e-7, (beta, a.tolist(), q)
+            assert points[j].kind is q.kind, (beta, a.tolist(), q)
+
+    def test_lattice_agreement_random(self, rng):
+        for _ in range(50):
+            self._agrees_with_lattice(float(rng.uniform(0.5, 4.0)),
+                                      random_interior(rng, 1, 0.03)[0])
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-6, 1e-3])
+    def test_lattice_agreement_ties(self, rng, eps):
+        for _ in range(5):
+            beta = float(rng.uniform(2.0, 4.0))
+            a2 = float(rng.uniform(0.05, 0.45))
+            a = np.array([a2 * (1.0 + eps), a2, 1.0 - a2 * (2.0 + eps)])
+            self._agrees_with_lattice(beta, a)
