@@ -31,6 +31,37 @@ SQRT3 = math.sqrt(3.0)
 # Float flags that must be finite and positive wherever a subcommand has them.
 _POSITIVE_FLAGS = ("beta", "beta_max", "extent", "step", "tol")
 
+# Integer size flags are bounded so that no input asks for more memory than
+# this.  Every subcommand holds its output as records of about 1 KiB each
+# before writing it, and cell labelling keeps about 64 bytes per pixel.
+MEMORY_BUDGET = 1 << 30
+_RECORD_BYTES = 1 << 10
+_PIXEL_BYTES = 64
+# A slice has at most 18 curves (6 branches on up to 3 intervals).
+_SLICE_CURVES = 18
+
+
+def _bounded_int(lo: int, hi: int):
+    """Argparse type for an integer flag limited to [lo, hi]."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer in [{lo}, {hi}], got {text!r}")
+        return value
+    return parse
+
+
+_RESOLUTION = _bounded_int(16, math.isqrt(MEMORY_BUDGET // _PIXEL_BYTES))
+_SAMPLES = _bounded_int(
+    2, MEMORY_BUDGET // (_SLICE_CURVES * _RECORD_BYTES))
+# surface and potential grids write up to grid^2 records
+_GRID = _bounded_int(16, math.isqrt(MEMORY_BUDGET // _RECORD_BYTES))
+_SEGMENT_SAMPLES = _bounded_int(1, MEMORY_BUDGET // _RECORD_BYTES)
+
 
 @contextlib.contextmanager
 def _open_out(path):
@@ -204,8 +235,6 @@ def _surface_mesh_obj(fh, grid, beta_max):
 
 
 def cmd_surface(args) -> int:
-    if args.grid < 16:
-        raise DomainError(f"--grid must be >= 16, got {args.grid}")
     if args.format == "obj":
         with _open_out(args.out) as fh:
             _surface_mesh_obj(fh, args.grid, args.beta_max)
@@ -401,8 +430,6 @@ def _potential_grid(beta, alpha, n):
 def cmd_potential(args) -> int:
     alpha = _parse_alpha(args)
     params = ModelParams(args.beta, alpha)
-    if args.grid < 16:
-        raise DomainError(f"--grid must be >= 16, got {args.grid}")
     xs, ys, nu, values = _potential_grid(params.beta, alpha, args.grid)
 
     if args.format == "svg":
@@ -436,10 +463,14 @@ def cmd_potential(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="potts-landscape",
+        prog="potts-landscape", exit_on_error=False,
         description="Phase diagrams of the three-state mean-field Potts "
                     "model in a vector-valued external field.")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help):
+        # malformed or out-of-range flag values reach main as an error
+        return sub.add_parser(name, help=help, exit_on_error=False)
 
     def common(p, formats=("csv", "json", "svg")):
         p.add_argument("--format", choices=formats, default="csv")
@@ -450,26 +481,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--records", action="store_true",
                        help="force record output instead of a summary table")
 
-    p = sub.add_parser("slice", help="constant-temperature bifurcation slice")
+    p = command("slice", "constant-temperature bifurcation slice")
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--samples", type=int, default=400,
+    p.add_argument("--samples", type=_SAMPLES, default=400,
                    help="samples per parameter interval")
     p.add_argument("--label-cells", action="store_true",
                    help="annotate each cell with its minima count (svg)")
     p.add_argument("--extent", type=float, default=6.0,
                    help="half-width of the (p, q) window")
-    p.add_argument("--resolution", type=int, default=512,
+    p.add_argument("--resolution", type=_RESOLUTION, default=512,
                    help="raster resolution for cell detection")
     common(p)
     p.set_defaults(func=cmd_slice)
 
-    p = sub.add_parser("surface", help="parametric bifurcation surface")
+    p = command("surface", "parametric bifurcation surface")
     p.add_argument("--beta-max", type=float, default=6.0)
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=_GRID, default=64)
     common(p, formats=("csv", "json", "obj"))
     p.set_defaults(func=cmd_surface)
 
-    p = sub.add_parser("census", help="stationary points at one parameter")
+    p = command("census", "stationary points at one parameter")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--alpha", default=None,
                    help="a-priori measure a1,a2,a3")
@@ -477,25 +508,24 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, formats=("csv", "json"))
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("critical", help="the five critical temperatures")
+    p = command("critical", "the five critical temperatures")
     common(p, formats=("csv", "json"))
     p.set_defaults(func=cmd_critical)
 
-    p = sub.add_parser("maxwell", help="coexistence segments, triple points "
-                                       "and curves")
+    p = command("maxwell", "coexistence segments, triple points and curves")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--step", type=float, default=0.005,
                    help="continuation step for the coexistence curve")
-    p.add_argument("--segment-samples", type=int, default=40)
+    p.add_argument("--segment-samples", type=_SEGMENT_SAMPLES, default=40)
     p.add_argument("--extent", type=float, default=6.0)
     common(p)
     p.set_defaults(func=cmd_maxwell)
 
-    p = sub.add_parser("potential", help="free-energy grid over the simplex")
+    p = command("potential", "free-energy grid over the simplex")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--alpha", default=None)
     p.add_argument("--uv", default=None)
-    p.add_argument("--grid", type=int, default=128)
+    p.add_argument("--grid", type=_GRID, default=128)
     common(p)
     p.set_defaults(func=cmd_potential)
 
@@ -503,14 +533,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name in _POSITIVE_FLAGS:
             if getattr(args, name, None) is not None:
                 flag = "--" + name.replace("_", "-")
                 setattr(args, name, _check_beta(getattr(args, name), flag))
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, argparse.ArgumentError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -5,14 +5,17 @@ files start with the line ``# potts-landscape v1 <kind>`` followed by a
 header row; floats are serialized as shortest round-trip decimals, so a
 reload reproduces the in-memory values bit for bit.  JSON files hold an
 array of flat objects with the same field names plus ``kind`` and
-``schema_version``.
+``schema_version``.  Both writers stop with a ``NumericalError`` at the
+first non-finite float; ``None`` marks an unused column (the spare Maxwell
+minimizer slots).
 """
 
 from __future__ import annotations
 
 import json
+import math
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 SCHEMA_VERSION = 1
 MAGIC = "# potts-landscape v1"
@@ -59,10 +62,13 @@ SCHEMAS = {
 }
 
 
-def _format_value(value) -> str:
+def _format_value(value, name: str) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NumericalError(f"refusing to write non-finite {name} = "
+                                 f"{value!r}")
         return repr(value)
     return str(value)
 
@@ -72,8 +78,8 @@ def write_csv(fh, kind: str, records: list) -> None:
     fh.write(f"{MAGIC} {kind}\n")
     fh.write(",".join(name for name, _ in columns) + "\n")
     for rec in records:
-        fh.write(",".join(_format_value(rec.get(name)) for name, _ in columns)
-                 + "\n")
+        fh.write(",".join(_format_value(rec.get(name), name)
+                          for name, _ in columns) + "\n")
 
 
 def write_json(fh, kind: str, records: list) -> None:
@@ -84,7 +90,11 @@ def write_json(fh, kind: str, records: list) -> None:
         for name, _ in columns:
             obj[name] = rec.get(name)
         out.append(obj)
-    json.dump(out, fh, indent=1)
+    try:
+        json.dump(out, fh, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"refusing to write {kind} records: "
+                             f"{exc}") from None
     fh.write("\n")
 
 

@@ -4,9 +4,9 @@ On the symmetry axis with the third field component suppressed the
 coexistence set is a straight segment whose upper endpoint is known in
 closed form up to the butterfly temperature and is the triple point beyond
 it.  The triple point is located by bisecting the depth difference between
-the mirror-symmetric pair of minima and the best symmetric minimum while
-tracking all of them with Newton polishing.  Off the axis the coexistence
-curve is continued by solving the field-free system
+the mirror-symmetric pair of minima and the best symmetric minimum, all
+read off the census and tracked with Newton polishing.  Off the axis the
+coexistence curve is continued by solving the field-free system
 
     stationary_value(mu) = stationary_value(nu),  chi(mu) = chi(nu)
 
@@ -14,7 +14,8 @@ for the two minimizers (mu, nu), sweeping one state coordinate per step
 (the dominant tangent component, which is the first component of the
 symmetric-side minimizer wherever that parametrization is well posed);
 the initial-value-problem form of the curve is used only as a tangent
-cross-check in the tests.
+cross-check in the tests.  Where the pair merges at a cusp of the
+bifurcation set the curve ends on the exact A3 point.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .model import (DEFAULT_TOL, AprioriMeasure, ModelParams,
                     SpinDistribution, ToleranceConfig, batch_catastrophe,
                     batch_free_energy, batch_from_xy, batch_stationary_value,
                     batch_xy, hessian_eigenvalues)
-from .stationary import (MinimaCensus, PointKind, barycentric_grid, census,
-                         newton_stationary, stationary_points_from_seeds)
+from .stationary import MinimaCensus, census, newton_stationary
 
 _SWAP12 = (1, 0, 2)
 
@@ -140,26 +140,14 @@ def _polish_minimum(beta: float, alpha: np.ndarray, seed: np.ndarray,
     return point
 
 
-def _axis_seeds(n: int = 400, margin: float = 1e-3) -> np.ndarray:
-    """Dense seeds along the symmetry axis nu1 = nu2, where minima can sit
-    arbitrarily close to their saddle partners near the horn tips."""
-    c = np.linspace(margin, 1.0 - margin, n)
-    return np.stack([(1.0 - c) / 2.0, (1.0 - c) / 2.0, c], axis=-1)
-
-
-def axis_minima(beta: float, y: float,
-                tol: ToleranceConfig = DEFAULT_TOL,
-                grid_density: int = 32):
+def axis_minima(beta: float, y: float, tol: ToleranceConfig = DEFAULT_TOL):
     """Split the minima at the axis point with the given y-coordinate into
     symmetric ones (first two components equal) and the pair member with
-    x > 0.  Returns (sym, asym) as lists of simplex arrays."""
-    alpha = _alpha_on_axis(y)
-    seeds = np.vstack([barycentric_grid(grid_density), _axis_seeds()])
-    points = stationary_points_from_seeds(beta, alpha, seeds, tol)
+    x > 0, read off the census there.  Returns (sym, asym) as lists of
+    simplex arrays."""
+    alpha = AprioriMeasure.from_array(_alpha_on_axis(y))
     sym, asym = [], []
-    for p in points:
-        if p.kind is not PointKind.MINIMUM:
-            continue
+    for p in census(ModelParams(beta, alpha), tol=tol).minima:
         x = float(batch_xy(p.nu.array)[0])
         if abs(x) <= 1e-7:
             sym.append(p.nu.array)
@@ -260,8 +248,8 @@ class _AxisTracker:
         return f_asym - min(values)
 
 
-def triple_point(beta: float, tol: ToleranceConfig = DEFAULT_TOL,
-                 grid_density: int = 32) -> CoexistencePoint:
+def triple_point(beta: float,
+                 tol: ToleranceConfig = DEFAULT_TOL) -> CoexistencePoint:
     """The on-axis point where the mirror pair and the symmetric minimum
     are equally deep, for butterfly < beta < four-phase temperature.
 
@@ -280,7 +268,7 @@ def triple_point(beta: float, tol: ToleranceConfig = DEFAULT_TOL,
     for a, b in zip(edges, edges[1:]):
         inset = 0.02 * (b - a)
         y_lo, y_hi = a + inset, b - inset
-        sym, asym = axis_minima(beta, 0.5 * (a + b), tol, grid_density)
+        sym, asym = axis_minima(beta, 0.5 * (a + b), tol)
         if not (sym and asym):
             continue
         tracker = _AxisTracker(beta, 0.5 * (a + b), sym, asym[0], tol)
@@ -402,7 +390,13 @@ def _pair_tangent(beta: float, w: np.ndarray) -> np.ndarray:
 def _solve_pair_pinned(beta: float, w0: np.ndarray, pivot: int,
                        res_tol: float = 1e-12, max_iter: int = 60):
     """Damped Newton on the field-free system with one state coordinate
-    frozen; returns the full state vector or None."""
+    frozen; returns the full state vector or None.
+
+    The line search halves the step length lam until the residual norm
+    drops by at least 1e-4 lam |r| (Armijo).  It stagnates, and the solve
+    fails, once the decrease lam |r| that the linear model promises is
+    below ``res_tol``: so short a step can no longer decide convergence,
+    only chase rounding noise."""
     w = np.array(w0, dtype=float)
     free = [k for k in range(4) if k != pivot]
     r = _pair_residual(beta, w)
@@ -417,19 +411,65 @@ def _solve_pair_pinned(beta: float, w0: np.ndarray, pivot: int,
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             return None
-        lam, improved = 1.0, False
-        for _ in range(40):
+        lam = 1.0
+        while True:
+            if lam * rn <= res_tol:
+                return None
             cand = w.copy()
             cand[free] += lam * step
             rc = _pair_residual(beta, cand)
-            if np.all(np.isfinite(rc)) and np.linalg.norm(rc) < rn:
-                w, r, rn = cand, rc, np.linalg.norm(rc)
-                improved = True
+            rcn = np.linalg.norm(rc)
+            if np.isfinite(rcn) and rcn <= (1.0 - 1e-4 * lam) * rn:
+                w, r, rn = cand, rc, rcn
                 break
             lam *= 0.5
-        if not improved:
-            return None
     return w if rn <= res_tol else None
+
+
+def _cusp_conditions(beta: float, nu: np.ndarray):
+    """det H and the cubic -sum_i w_i^3 / nu_i^2 of the free energy along
+    the Hessian null direction w at one simplex point, and their
+    local-coordinate Jacobian (2x2).
+
+    With a = 1/nu - beta the Hessian is diag(a) on the tangent plane, whose
+    determinant is a1 a2 + a1 a3 + a2 a3 = sum_i w_i for w_i = prod_{j!=i}
+    a_j; where it vanishes, w is a null vector.  Both vanish together at an
+    A3 (cusp) point."""
+    a = 1.0 / nu - beta
+    da = -1.0 / (nu * nu)
+    w = np.array([a[1] * a[2], a[0] * a[2], a[0] * a[1]])
+    dw = np.zeros((3, 3))  # dw[i, k] = d w_i / d nu_k
+    for i in range(3):
+        for k in range(3):
+            if i != k:
+                dw[i, k] = a[3 - i - k] * da[k]
+    cubic = -np.sum(w ** 3 / nu ** 2)
+    dcubic = -(3.0 * (w * w / nu ** 2) @ dw) + 2.0 * w ** 3 / nu ** 3
+    grad = np.stack([dw.sum(axis=0), dcubic])
+    return np.array([w.sum(), cubic]), grad[:, :2] - grad[:, 2:]
+
+
+def _cusp_point(beta: float, seed: np.ndarray, max_iter: int = 50):
+    """The A3 point next to ``seed`` at this temperature: Newton on
+    ``_cusp_conditions`` in local coordinates while it still lowers them."""
+    nu = np.array(seed, dtype=float)
+    res, jac = _cusp_conditions(beta, nu)
+    for _ in range(max_iter):
+        try:
+            d = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError:
+            break
+        cand = nu + np.array([d[0], d[1], -d[0] - d[1]])
+        if cand.min() <= 0.0:
+            break
+        res_c, jac_c = _cusp_conditions(beta, cand)
+        if not np.abs(res_c).max() < np.abs(res).max():
+            break
+        nu, res, jac = cand, res_c, jac_c
+    if not np.abs(res).max() <= 1e-10:
+        raise NumericalError(
+            f"no cusp point found next to {seed} at beta = {beta}")
+    return nu
 
 
 def _min_eig_pair(beta: float, w: np.ndarray) -> float:
@@ -457,10 +497,16 @@ def coexistence_curve(beta: float, step: float = 0.005,
     component of the symmetric-side minimizer turns around.  The starting
     direction is the one whose points carry the tracked pair as the global
     minimizers (census probe); the opposite direction continues a
-    metastable branch.  Termination: the pair merging into a degenerate
-    point (gap below 1e-6, the curve end lies on the bifurcation set), one
-    minimizer losing minimality there (boundary), or a persistent solver
-    stall after step halving.
+    metastable branch.  Termination:
+
+    - 'fold': the pair merges into a cusp of the bifurcation set.  Once a
+      tracked minimizer's smallest Hessian eigenvalue is down to
+      ``tol.degenerate_eig`` with the pair within 1e-3 of each other, the
+      residual no longer pins the positions to within their gap, so the
+      curve stops there and its last point is the exact A3 cusp point
+      (``_cusp_point``) with both minimizer slots set to it;
+    - 'boundary': one minimizer of a well separated pair loses minimality;
+    - 'stalled': a persistent corrector failure after step halving.
     """
     beta = float(beta)
     if not 1e-5 < step <= 1e-1:
@@ -475,7 +521,8 @@ def coexistence_curve(beta: float, step: float = 0.005,
 
     def attempt(w, tangent, h):
         """One predictor-corrector step of length h; returns the new state,
-        'degenerate' if a minimizer dies there, or None on failure."""
+        'boundary' or 'fold' if a minimizer degenerates there, or None on
+        failure."""
         pred = w + h * tangent
         pivot = int(np.argmax(np.abs(tangent)))
         w_new = _solve_pair_pinned(beta, pred, pivot)
@@ -491,10 +538,9 @@ def coexistence_curve(beta: float, step: float = 0.005,
             return None
         # a minimizer annihilating against a saddle ends the curve on the
         # bifurcation set; eigenvalues also vanish when the pair merges
-        # into a cusp, which instead terminates via the gap criterion
-        if (_min_eig_pair(beta, w_new) <= tol.degenerate_eig
-                and gap_new > 1e-3):
-            return "degenerate"
+        # into a cusp
+        if _min_eig_pair(beta, w_new) <= tol.degenerate_eig:
+            return "boundary" if gap_new > 1e-3 else "fold"
         return w_new
 
     def oriented_tangent(w, reference):
@@ -535,8 +581,7 @@ def coexistence_curve(beta: float, step: float = 0.005,
 
     points = []
 
-    def emit(w):
-        mu, nu = _pair_from_state(w)
+    def emit(mu, nu):
         alpha = batch_catastrophe(beta, nu)
         depth = float(batch_stationary_value(beta, nu))
         points.append(CoexistencePoint(
@@ -548,27 +593,33 @@ def coexistence_curve(beta: float, step: float = 0.005,
     w = w_start.copy()
     tangent = t_first
     status = "max-steps"
-    h = step
+    h, h_failed = step, None
     while len(points) < max_steps:
         gap = _pair_gap(w)
         if gap < 1e-6:
             status = "fold"
             break
         h_eff = min(h, max(gap / 3.0, 1e-7)) if gap < 1e-2 else h
-        got = attempt(w, tangent, h_eff)
+        # a retry with the step that has just failed would fail again
+        got = None if h_eff == h_failed else attempt(w, tangent, h_eff)
         if isinstance(got, str):
-            status = "boundary"
+            status = got
             break
         if got is None:
+            h_failed = h_eff
             h *= 0.5
             if h < 1e-6:
                 status = "stalled" if gap > 1e-3 else "fold"
                 break
             continue
-        w = got
+        w, h_failed = got, None
         tangent = oriented_tangent(w, tangent)
-        emit(w)
+        emit(*_pair_from_state(w))
         h = min(step, 2.0 * h)
+    if status == "fold":
+        mu, nu = _pair_from_state(w)
+        cusp = _cusp_point(beta, 0.5 * (mu + nu))
+        emit(cusp, cusp)
 
     return CoexistenceCurve(beta=beta, points=tuple(points), origin=tp,
                             status=status)
@@ -599,15 +650,14 @@ def beyond_ellis_wang_segment(beta: float,
 
 
 def track_segment_pair(segment: AxisSegment, n: int = 40,
-                       tol: ToleranceConfig = DEFAULT_TOL,
-                       grid_density: int = 48) -> list:
+                       tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """Sample the axis segment and attach the mirror pair of global
     minimizers to each sample by Newton continuation from the midpoint."""
     if segment.is_empty:
         return []
     ys = segment.sample_ys(n)
     mid = n // 2
-    _, asym = axis_minima(segment.beta, float(ys[mid]), tol, grid_density)
+    _, asym = axis_minima(segment.beta, float(ys[mid]), tol)
     if not asym:
         raise NumericalError(
             f"no mirror pair found at the segment midpoint, beta = "

@@ -1,9 +1,10 @@
-"""Cell detection in a planar curve arrangement by raster flood fill.
+"""Cell detection in a planar curve arrangement by raster labelling.
 
 The slice curves partition the field plane into cells on which the number
 of local minima is constant.  Curves are rasterized onto a boolean grid
-with 8-connected line drawing (which 4-connected flood fill cannot leak
-across); the free pixels are then segmented into connected components.
+with 8-connected line drawing (which 4-connected components cannot leak
+across); the free pixels are then segmented into 4-connected components
+by joining the free runs of adjacent rows with union-find.
 One probe point per component, at or near the component centroid, is
 handed to the caller for a census.  Components thinner than two pixels
 everywhere are flagged unresolved rather than probed.
@@ -74,63 +75,80 @@ def rasterize_curves(polylines: list, extent: tuple, resolution: int = 512) -> n
     return grid
 
 
-def _flood_components(free: np.ndarray) -> np.ndarray:
-    """4-connected component labels of the free pixels (0 where blocked)."""
-    n = free.shape[0]
-    labels = np.zeros_like(free, dtype=np.int32)
-    current = 0
-    todo = free.copy()
+def _components(free: np.ndarray) -> np.ndarray:
+    """4-connected component labels of the free pixels (0 where blocked),
+    numbered 1, 2, ... in the raster order of each component's first pixel.
+
+    The free pixels of each row form runs, enumerated in raster order.
+    Runs in adjacent rows that share a column are joined by union-find
+    keeping the earlier run as the root, so every root is the first run of
+    its component and ranking the roots numbers the components."""
+    padded = np.zeros((free.shape[0], free.shape[1] + 1), dtype=bool)
+    padded[:, 1:] = free
+    starts = free & ~padded[:, :-1]
+    run = np.cumsum(starts.ravel()).reshape(free.shape) - 1
+    n_runs = int(run.flat[-1]) + 1 if free.size else 0
+    # one pixel per pair of touching runs: where the overlap begins or
+    # where a run starts inside it
+    touch = free[:-1] & free[1:]
+    first = touch.copy()
+    first[:, 1:] &= ~touch[:, :-1] | starts[:-1, 1:] | starts[1:, 1:]
+    parent = list(range(n_runs))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in zip(run[:-1][first].tolist(), run[1:][first].tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    root = np.array(parent, dtype=np.int64)
     while True:
-        seeds = np.argwhere(todo)
-        if len(seeds) == 0:
+        nxt = root[root]
+        if np.array_equal(nxt, root):
             break
-        current += 1
-        frontier = np.zeros_like(free)
-        frontier[seeds[0, 0], seeds[0, 1]] = True
-        component = np.zeros_like(free)
-        while frontier.any():
-            component |= frontier
-            grown = np.zeros_like(free)
-            grown[1:, :] |= frontier[:-1, :]
-            grown[:-1, :] |= frontier[1:, :]
-            grown[:, 1:] |= frontier[:, :-1]
-            grown[:, :-1] |= frontier[:, 1:]
-            frontier = grown & todo & ~component
-        labels[component] = current
-        todo &= ~component
+        root = nxt
+    number = np.cumsum(root == np.arange(n_runs)).astype(np.int32)
+    labels = np.zeros(free.shape, dtype=np.int32)
+    labels[free] = number[root][run[free]]
     return labels
-
-
-def _has_thick_core(component: np.ndarray) -> bool:
-    """True when some pixel has all four neighbours inside the component."""
-    c = component
-    core = c[1:-1, 1:-1] & c[:-2, 1:-1] & c[2:, 1:-1] & c[1:-1, :-2] & c[1:-1, 2:]
-    return bool(core.any())
 
 
 def label_regions(polylines: list, extent: tuple,
                   resolution: int = 512) -> list:
     """Segment the window into cells of the curve arrangement."""
     xmin, xmax, ymin, ymax = extent
-    curve_mask = rasterize_curves(polylines, extent, resolution)
-    labels = _flood_components(~curve_mask)
+    labels = _components(~rasterize_curves(polylines, extent, resolution))
+    n = int(labels.max()) + 1
+    flat = labels.ravel()
+    ii, jj = np.indices(labels.shape)
+    count = np.bincount(flat, minlength=n)
+    sum_i = np.bincount(flat, ii.ravel().astype(float), minlength=n)
+    sum_j = np.bincount(flat, jj.ravel().astype(float), minlength=n)
+    # a thick core is a pixel with all four neighbours in its own component
+    inner = labels[1:-1, 1:-1]
+    core = ((inner == labels[:-2, 1:-1]) & (inner == labels[2:, 1:-1])
+            & (inner == labels[1:-1, :-2]) & (inner == labels[1:-1, 2:]))
+    thick = set(np.unique(inner[core]).tolist())
+    border = set(np.concatenate([labels[0], labels[-1], labels[:, 0],
+                                 labels[:, -1]]).tolist())
     regions = []
     hx = (xmax - xmin) / (resolution - 1)
     hy = (ymax - ymin) / (resolution - 1)
-    for lab in range(1, labels.max() + 1):
-        mask = labels == lab
-        pix = np.argwhere(mask)
-        cx, cy = pix.mean(axis=0)
+    for lab in range(1, n):
+        cx, cy = sum_i[lab] / count[lab], sum_j[lab] / count[lab]
         centroid = (xmin + cx * hx, ymin + cy * hy)
         ci, cj = int(round(cx)), int(round(cy))
-        if not mask[ci, cj]:
+        if labels[ci, cj] != lab:
+            pix = np.argwhere(labels == lab)
             k = int(np.argmin(((pix - [cx, cy]) ** 2).sum(axis=1)))
             ci, cj = pix[k]
         probe = (xmin + ci * hx, ymin + cj * hy)
-        touches = bool(mask[0, :].any() or mask[-1, :].any()
-                       or mask[:, 0].any() or mask[:, -1].any())
-        regions.append(Region(label=lab, n_pixels=int(mask.sum()),
+        regions.append(Region(label=lab, n_pixels=int(count[lab]),
                               centroid=centroid, probe=probe,
-                              resolved=_has_thick_core(mask),
-                              touches_border=touches))
+                              resolved=lab in thick,
+                              touches_border=lab in border))
     return regions

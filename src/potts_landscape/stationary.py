@@ -366,7 +366,9 @@ def _reduced_roots(beta: float, alpha: np.ndarray,
     denser grid.  Roots come from sign changes of F between samples, from
     exact zeros at samples and from tangential extrema; a root on a branch
     point, where a tie in alpha makes two branches meet, shows up in
-    several pairs.
+    several pairs.  A root with a component below ``tol.interior_margin``
+    cannot be represented as a ``SpinDistribution``; rather than drop it,
+    the census fails with a ``NumericalError``.
     """
     k = int(np.argmax(alpha))
     others = [i for i in range(3) if i != k]
@@ -418,7 +420,13 @@ def _reduced_roots(beta: float, alpha: np.ndarray,
     nu[:, k] = t_all
     nu[:, others] = x
     nu /= nu.sum(axis=1, keepdims=True)
-    return nu[nu.min(axis=1) >= tol.interior_margin]
+    lost = nu.min(axis=1) < tol.interior_margin
+    if np.any(lost):
+        raise NumericalError(
+            f"{int(lost.sum())} stationary point(s) lie outside the "
+            f"representable interior: smallest component "
+            f"{float(nu[lost].min())!r} < {tol.interior_margin!r}")
+    return nu
 
 
 def _polish(beta: float, alpha: np.ndarray, nu: np.ndarray,

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 
 import potts_landscape as pl
+import potts_landscape.cli as cli
 from potts_landscape.cli import label_slice_cells, main
-from potts_landscape.export import read_csv, read_json
+from potts_landscape.export import (SCHEMAS, read_csv, read_json, write_csv,
+                                    write_json)
 from potts_landscape.maxwell import track_segment_pair
 from potts_landscape.model import batch_degeneracy_lhs
 from potts_landscape.stationary import newton_stationary
@@ -39,6 +42,120 @@ class TestNonFiniteInput:
     def test_slice_extent_nan_svg(self, capsys):
         assert_domain_error(capsys, ["slice", "--beta", "2.3", "--extent",
                                      "nan", "--format", "svg"])
+
+
+class TestSizeBounds:
+    """Out-of-range size flags end in one domain error line while the
+    arguments are parsed, before the command allocates anything."""
+
+    @pytest.mark.parametrize("args", [
+        ["slice", "--beta", "2.3", "--format", "svg", "--label-cells",
+         "--resolution", "1"],
+        ["slice", "--beta", "2.3", "--format", "svg", "--label-cells",
+         "--resolution", "-5"],
+        ["surface", "--grid", "100000"],
+        ["potential", "--beta", "2.6", "--grid", "100000000"],
+        ["slice", "--beta", "2.3", "--samples", "100000000"],
+        ["maxwell", "--beta", "2.4", "--segment-samples", "0"],
+        ["surface", "--grid", "64.5"],
+    ])
+    def test_refused_before_the_command_runs(self, capsys, monkeypatch,
+                                             args):
+        def forbidden(args):
+            raise AssertionError("command ran with an out-of-range size")
+
+        monkeypatch.setattr(cli, f"cmd_{args[0]}", forbidden)
+        assert_domain_error(capsys, args)
+
+    def test_bounds_clear_the_sizes_in_use(self):
+        parser = cli.build_parser()
+        for args, name, used in (
+                (["slice", "--beta", "2", "--samples", "6000"], "samples",
+                 6000),
+                (["slice", "--beta", "2", "--resolution", "512"],
+                 "resolution", 512),
+                (["surface", "--grid", "128"], "grid", 128),
+                (["potential", "--beta", "2", "--grid", "128"], "grid", 128),
+                (["maxwell", "--beta", "2", "--segment-samples", "40"],
+                 "segment_samples", 40)):
+            assert getattr(parser.parse_args(args), name) == used
+            args[-1] = str(4 * used)
+            assert getattr(parser.parse_args(args), name) == 4 * used
+
+
+class TestNonFiniteOutput:
+    RECORD = {"butterfly": 18 / 7, "cross": 2.74, "ellis_wang": 2.77,
+              "touch": 2.80, "umbilic": 3.0}
+
+    @pytest.mark.parametrize("writer", [write_csv, write_json])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_writers_refuse(self, writer, bad):
+        fh = io.StringIO()
+        with pytest.raises(pl.NumericalError, match="non-finite|JSON"):
+            writer(fh, "critical_temps", [dict(self.RECORD, touch=bad)])
+        assert "inf" not in fh.getvalue().lower()
+        assert "nan" not in fh.getvalue().lower()
+
+    @pytest.mark.parametrize("writer", [write_csv, write_json])
+    def test_unused_minimizer_slots_allowed(self, writer):
+        rec = {name: 0.25 for name, typ in SCHEMAS["maxwell_point"]
+               if typ is float}
+        rec.update(section="segment", index=0, n_minimizers=2, m3_nu1=None,
+                   m3_nu2=None, m3_nu3=None, m4_nu1=None, m4_nu2=None,
+                   m4_nu3=None)
+        fh = io.StringIO()
+        writer(fh, "maxwell_point", [rec])
+        assert "0.25" in fh.getvalue()
+
+    def test_cli_exit_code(self, capsys, monkeypatch):
+        temps = pl.CriticalTemps(**dict(self.RECORD, cross=math.nan))
+        monkeypatch.setattr(cli, "all_critical_temps", lambda: temps)
+        assert run(["critical", "--records"]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+
+
+def test_written_records_finite_and_reload_bit_for_bit(tmp_path):
+    """Random arguments for every subcommand: each written record is
+    finite (bar the unused minimizer slots) and reloads to values that
+    write back the same file."""
+    rng = np.random.default_rng(20261018)
+
+    def alpha():
+        a = rng.dirichlet((2.0, 2.0, 2.0))
+        return ",".join(repr(float(v)) for v in a)
+
+    def beta(lo, hi):
+        return repr(float(rng.uniform(lo, hi)))
+
+    cases = [["critical"]]
+    for _ in range(4):
+        cases += [
+            ["slice", "--beta", beta(2.05, 4.0), "--samples",
+             str(rng.integers(10, 60))],
+            ["surface", "--grid", str(rng.integers(16, 40)), "--beta-max",
+             beta(2.0, 8.0)],
+            ["census", "--beta", beta(0.5, 4.0), "--alpha", alpha()],
+            ["maxwell", "--beta", beta(2.05, 3.4), "--segment-samples",
+             str(rng.integers(2, 8))],
+            ["potential", "--beta", beta(0.5, 4.0), "--alpha", alpha(),
+             "--grid", str(rng.integers(16, 40))],
+        ]
+    for args in cases:
+        out = tmp_path / f"{args[0]}.csv"
+        assert run(args + ["--records", "--out", str(out)]) == 0, args
+        kind, recs = read_csv(str(out))
+        assert recs, args
+        for rec in recs:
+            for name, typ in SCHEMAS[kind]:
+                value = rec[name]
+                if value is None:
+                    assert kind == "maxwell_point" and name[0] == "m", args
+                elif typ is float:
+                    assert math.isfinite(value), (args, name)
+        again = io.StringIO()
+        write_csv(again, kind, recs)
+        assert again.getvalue() == out.read_text(), args
 
 
 class TestCritical:
@@ -243,6 +360,14 @@ class TestCensusCommand:
         # go through main to exercise the exit-code mapping
         monkeypatch.setattr(cli, "build_parser", lambda: _StubParser(args))
         assert cli.main(parser_args) == 3
+
+
+def test_census_outside_interior_exit_code(capsys):
+    assert run(["census", "--beta", "30"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+    assert "smallest component" in lines[0] and captured.out == ""
 
 
 class _StubParser:

@@ -7,8 +7,10 @@ import potts_landscape as pl
 from potts_landscape.maxwell import (axis_minima, axis_slice_crossings,
                                      ivp_tangent, segment_upper_endpoint_y,
                                      track_segment_pair, _AxisTracker)
-from potts_landscape.model import batch_uv, batch_xy
-from potts_landscape.stationary import PointKind
+from potts_landscape.model import (batch_from_xy, batch_hessian, batch_uv,
+                                   batch_xy, hessian_eigenvalues)
+from potts_landscape.stationary import (PointKind, barycentric_grid,
+                                        stationary_points_from_seeds)
 
 AUNIFORM = pl.AprioriMeasure.uniform()
 EW = 4.0 * math.log(2.0)
@@ -77,6 +79,32 @@ class TestAxisStructure:
         signs = np.sign(gaps)
         changes = int(np.sum(signs[:-1] != signs[1:]))
         assert changes == 1
+
+
+class TestAxisMinimaOracle:
+    def test_matches_lattice_search(self):
+        # the census-backed split against damped Newton from the g32
+        # lattice plus dense seeds on the axis, at 100 random axis points
+        rng = np.random.default_rng(31)
+        c = np.linspace(1e-3, 1.0 - 1e-3, 400)
+        seeds = np.vstack([barycentric_grid(32),
+                           np.stack([(1 - c) / 2, (1 - c) / 2, c], axis=-1)])
+        for beta, y in zip(rng.uniform(2.3, 3.5, 100),
+                           rng.uniform(-0.49, 0.5, 100)):
+            sym, asym = axis_minima(beta, y)
+            points = stationary_points_from_seeds(
+                beta, batch_from_xy([0.0, y]), seeds)
+            ref_sym, ref_asym = [], []
+            for p in points:
+                if p.kind is PointKind.MINIMUM:
+                    x = float(batch_xy(p.nu.array)[0])
+                    if abs(x) <= 1e-7:
+                        ref_sym.append(p.nu.array)
+                    elif x > 0.0:
+                        ref_asym.append(p.nu.array)
+            assert len(sym) == len(ref_sym) and len(asym) == len(ref_asym)
+            for got, ref in zip(sym + asym, ref_sym + ref_asym):
+                assert np.abs(got - ref).max() <= 1e-7
 
 
 class TestTriplePoint:
@@ -186,6 +214,32 @@ class TestCoexistenceCurve:
     def test_step_validated(self):
         with pytest.raises(pl.DomainError):
             pl.coexistence_curve(2.6, step=0.5)
+
+    @pytest.mark.parametrize("beta", [2.6, 2.65])
+    def test_ends_at_cusp(self, beta, curve26):
+        curve = (curve26 if beta == 2.6 else
+                 pl.coexistence_curve(beta, step=0.005,
+                                      origin=pl.triple_point(beta)))
+        assert curve.status == "fold"
+        # every tracked minimizer before the end is a resolved minimum
+        for p in curve.points[:-1]:
+            eigs = hessian_eigenvalues(beta, np.stack(
+                [m.array for m in p.minimizers]))
+            assert eigs[:, 0].min() > pl.DEFAULT_TOL.degenerate_eig
+        # the last point is the A3 point: singular Hessian, vanishing
+        # cubic along the null direction, both slots holding it
+        last = curve.points[-1]
+        a, b = (m.array for m in last.minimizers)
+        assert np.array_equal(a, b)
+        hess = batch_hessian(beta, a)
+        _, vecs = np.linalg.eigh(hess)
+        null = np.array([vecs[0, 0], vecs[1, 0], -vecs[0, 0] - vecs[1, 0]])
+        assert abs(np.linalg.det(hess)) <= 1e-10
+        assert abs(np.sum(null ** 3 / a ** 2)) <= 1e-10
+        cens = pl.census(pl.ModelParams(beta, last.alpha))
+        assert any(p.kind is PointKind.DEGENERATE
+                   and np.abs(p.nu.array - a).max() <= 1e-6
+                   for p in cens.points)
 
     def test_hexagon_regime_terminates_on_boundary(self):
         tp = pl.triple_point(2.75)

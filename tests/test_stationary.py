@@ -275,3 +275,21 @@ class TestCompleteness:
             a2 = float(rng.uniform(0.05, 0.45))
             a = np.array([a2 * (1.0 + eps), a2, 1.0 - a2 * (2.0 + eps)])
             self._agrees_with_lattice(beta, a)
+
+
+class TestOutsideInterior:
+    """Stationary points closer to the boundary than a SpinDistribution
+    can hold make the census fail instead of coming back incomplete."""
+
+    def test_zero_field_high_beta(self):
+        # the three corner minima have components near e^-30
+        with pytest.raises(pl.NumericalError,
+                           match=r"^3 stationary point\(s\).*component "
+                                 r"9\.\d+e-14 < 1e-12$"):
+            pl.census(pl.ModelParams(30.0, AUNIFORM))
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 30.0])
+    def test_field_on_the_margin(self, beta):
+        alpha = pl.AprioriMeasure(0.5, 0.5 - 1e-12, 1e-12)
+        with pytest.raises(pl.NumericalError, match="smallest component"):
+            pl.census(pl.ModelParams(beta, alpha))
