@@ -198,40 +198,33 @@ def _surface_records(patches, beta_max):
 
 
 def _surface_mesh_obj(fh, grid, beta_max):
-    """Triangulated (p, q, beta) mesh of both sheets, OBJ-style text."""
-    from .model import batch_catastrophe
-    d = grid
-    fh.write(f"# potts-landscape v1 surface mesh, grid {d}\n")
+    """Triangulated (p, q, beta) mesh of both sheets, OBJ-style text: the
+    lattice points of ``surface_patches`` up to ``beta_max``, each lattice
+    cell split into an up and a down triangle where all three corners are
+    vertices."""
+    i, j = np.meshgrid(np.arange(1, grid), np.arange(1, grid), indexing="ij")
+    cell = i + j <= grid - 1
+    i, j = i[cell], j[cell]
+    fh.write(f"# potts-landscape v1 surface mesh, grid {grid}\n")
     offset = 0
-    for sign in (+1, -1):
-        index = {}
-        vertices = []
-        for i in range(1, d):
-            for j in range(1, d - i):
-                nu = np.array([i, j, d - i - j], dtype=float) / d
-                inv = 1.0 / nu
-                s1 = inv.sum()
-                s2 = inv[0] * inv[1] + inv[0] * inv[2] + inv[1] * inv[2]
-                disc = max(s1 * s1 / 9.0 - s2 / 3.0, 0.0)
-                beta = s1 / 3.0 + sign * math.sqrt(disc)
-                if not (0.0 < beta <= beta_max):
-                    continue
-                alpha = batch_catastrophe(beta, nu)
-                p, q = batch_pq(alpha)
-                index[(i, j)] = len(vertices) + 1
-                vertices.append((float(p), float(q), float(beta)))
-        fh.write(f"o sheet_{'plus' if sign > 0 else 'minus'}\n")
-        for v in vertices:
-            fh.write(f"v {v[0]!r} {v[1]!r} {v[2]!r}\n")
-        for i in range(1, d):
-            for j in range(1, d - i):
-                up = ((i, j), (i + 1, j), (i, j + 1))
-                down = ((i + 1, j), (i + 1, j + 1), (i, j + 1))
-                for tri in (up, down):
-                    if all(v in index for v in tri):
-                        fh.write("f " + " ".join(
-                            str(index[v] + offset) for v in tri) + "\n")
-        offset += len(vertices)
+    for patch in surface_patches(grid):
+        ij = np.rint(patch.nu[:, :2] * grid)
+        # the pinch row appended when grid % 3 != 0 is not a lattice point
+        keep = ((patch.beta <= beta_max)
+                & np.all(np.abs(patch.nu[:, :2] * grid - ij) < 1e-6, axis=1))
+        ij = ij[keep].astype(int)
+        index = np.zeros((grid + 1, grid + 1), dtype=int)
+        index[ij[:, 0], ij[:, 1]] = np.arange(1, len(ij) + 1)
+        tri = index[np.stack([i, i + 1, i, i + 1, i + 1, i], axis=-1),
+                    np.stack([j, j, j + 1, j, j + 1, j + 1], axis=-1)]
+        tri = tri.reshape(-1, 3)  # the up, then the down triangle per cell
+        tri = tri[np.all(tri > 0, axis=1)] + offset
+        pq = batch_pq(patch.alpha[keep])
+        fh.write(f"o sheet_{'plus' if patch.sign > 0 else 'minus'}\n")
+        fh.write("".join(f"v {p!r} {q!r} {b!r}\n" for p, q, b in zip(
+            pq[:, 0].tolist(), pq[:, 1].tolist(), patch.beta[keep].tolist())))
+        fh.write("".join(f"f {a} {b} {c}\n" for a, b, c in tri.tolist()))
+        offset += len(ij)
 
 
 def cmd_surface(args) -> int:
@@ -334,10 +327,10 @@ def _swap12(arr):
 def _maxwell_data(beta, step, segment_samples, tol):
     """All coexistence constructs at one inverse temperature."""
     records = []
-    curves_uv = []
+    curves = []  # alpha arrays of the coexistence curve and its mirror
     triple = None
     if beta <= 2.0:
-        return records, curves_uv, triple
+        return records, curves, triple
 
     tp = None
     if BETA_BUTTERFLY < beta < BETA_ELLIS_WANG:
@@ -365,7 +358,7 @@ def _maxwell_data(beta, step, segment_samples, tol):
         for section, data in (("curve", arm), ("curve_mirror", mirror)):
             for k, (a, d, ms) in enumerate(data):
                 records.append(_maxwell_record(beta, section, k, a, d, ms))
-            curves_uv.append(np.array([batch_uv(a) for a, _, _ in data]))
+            curves.append(np.array([a for a, _, _ in data]))
 
     if beta >= BETA_ELLIS_WANG:
         bew = beyond_ellis_wang_segment(beta, tol=tol)
@@ -374,26 +367,20 @@ def _maxwell_data(beta, step, segment_samples, tol):
             beta, "uniform", 0, AprioriMeasure.uniform().array,
             cens.global_minimizers[0].value if cens.global_minimizers else 0.0,
             [p.nu.array for p in cens.global_minimizers]))
-    return records, curves_uv, triple
+    return records, curves, triple
 
 
 def cmd_maxwell(args) -> int:
     beta = args.beta
     tol = _tolerances(args)
-    records, curves_uv, triple = _maxwell_data(beta, args.step,
-                                               args.segment_samples, tol)
+    records, curves, triple = _maxwell_data(beta, args.step,
+                                            args.segment_samples, tol)
     if args.format == "svg":
-        maxwell_lines = []
-        seg_pts = [(r["p"], r["q"]) for r in
-                   ({"p": SQRT3 * (rec["u"] - rec["v"]),
-                     "q": rec["u"] + rec["v"]} for rec in records
-                    if rec["section"] == "segment")]
-        if seg_pts:
-            maxwell_lines.append(np.array(seg_pts))
-        for uv in curves_uv:
-            pq = np.stack([SQRT3 * (uv[:, 0] - uv[:, 1]),
-                           uv[:, 0] + uv[:, 1]], axis=-1)
-            maxwell_lines.append(pq)
+        segment = [[rec["alpha1"], rec["alpha2"], rec["alpha3"]]
+                   for rec in records if rec["section"] == "segment"]
+        if segment:
+            curves = [segment] + curves
+        maxwell_lines = [batch_pq(a) for a in curves]
         markers = []
         if triple is not None:
             p, q = batch_pq(triple.alpha.array)
@@ -443,16 +430,12 @@ def cmd_potential(args) -> int:
             fh.write(doc)
         return 0
 
-    records = []
-    for i in range(len(xs)):
-        for j in range(len(ys)):
-            if not np.isfinite(values[i, j]):
-                continue
-            records.append({
-                "beta": params.beta, "x": float(xs[i]), "y": float(ys[j]),
-                "nu1": float(nu[i, j, 0]), "nu2": float(nu[i, j, 1]),
-                "nu3": float(nu[i, j, 2]), "f": float(values[i, j]),
-            })
+    i, j = np.nonzero(np.isfinite(values))
+    records = [{"beta": params.beta, "x": x, "y": y,
+                "nu1": a, "nu2": b, "nu3": c, "f": f}
+               for x, y, (a, b, c), f in zip(
+                   xs[i].tolist(), ys[j].tolist(), nu[i, j].tolist(),
+                   values[i, j].tolist())]
     _write_records(args, "potential_grid", records)
     return 0
 

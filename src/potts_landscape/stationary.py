@@ -356,7 +356,7 @@ def _bracketed_newton(fun, lo, hi, f_lo):
     return x
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _reduced_roots(beta: float, alpha: np.ndarray,
                    tol: ToleranceConfig) -> np.ndarray:
     """Stationary points as roots of the one-variable reduction, (m, 3).

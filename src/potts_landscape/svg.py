@@ -26,34 +26,48 @@ class SvgCanvas:
         inner = self.size - 2 * self.margin
         return self.size - self.margin - (y - self.ymin) / (self.ymax - self.ymin) * inner
 
+    def _near(self, pts):
+        """Which points of a (..., 2) array lie within half a window width
+        of the window; lines are drawn only through runs of such points,
+        to avoid wild excursions."""
+        wx = 0.5 * (self.xmax - self.xmin)
+        wy = 0.5 * (self.ymax - self.ymin)
+        x, y = pts[..., 0], pts[..., 1]
+        return ((x >= self.xmin - wx) & (x <= self.xmax + wx)
+                & (y >= self.ymin - wy) & (y <= self.ymax + wy))
+
+    def _polylines(self, lines, color, width, dashed=False):
+        """One <polyline> through each (k, 2) point array of ``lines``, a
+        list or an (n, k, 2) array; all points are mapped and formatted in
+        one pass."""
+        if not len(lines):
+            return
+        pts = np.concatenate(lines)
+        xy = [f"{x:.2f},{y:.2f}" for x, y in zip(self._tx(pts[:, 0]).tolist(),
+                                                self._ty(pts[:, 1]).tolist())]
+        ends = np.cumsum([len(line) for line in lines]).tolist()
+        dash = ' stroke-dasharray="6 4"' if dashed else ""
+        head = (f'<polyline fill="none" stroke="{color}" '
+                f'stroke-width="{width}"{dash} points="')
+        self._parts.extend(f'{head}{" ".join(xy[a:b])}"/>'
+                           for a, b in zip([0] + ends, ends))
+
     def polyline(self, points, color="#1a1a1a", width=1.2, dashed=False):
         pts = np.asarray(points, dtype=float)
         if len(pts) < 2:
             return
-        inside = ((pts[:, 0] >= self.xmin - 0.5 * (self.xmax - self.xmin))
-                  & (pts[:, 0] <= self.xmax + 0.5 * (self.xmax - self.xmin))
-                  & (pts[:, 1] >= self.ymin - 0.5 * (self.ymax - self.ymin))
-                  & (pts[:, 1] <= self.ymax + 0.5 * (self.ymax - self.ymin)))
-        # draw contiguous runs of in-window points to avoid wild excursions
-        run = []
-        runs = []
-        for keep, pt in zip(inside, pts):
-            if keep:
-                run.append(pt)
-            elif run:
-                runs.append(run)
-                run = []
-        if run:
-            runs.append(run)
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
-        for run in runs:
-            if len(run) < 2:
-                continue
-            coords = " ".join(f"{self._tx(x):.2f},{self._ty(y):.2f}"
-                              for x, y in run)
-            self._parts.append(
-                f'<polyline fill="none" stroke="{color}" '
-                f'stroke-width="{width}"{dash} points="{coords}"/>')
+        inside = self._near(pts)
+        cuts = np.flatnonzero(np.diff(inside)) + 1
+        runs = np.split(pts, cuts)
+        first = 0 if inside[0] else 1  # runs alternate in and out of window
+        self._polylines([run for run in runs[first::2] if len(run) >= 2],
+                        color, width, dashed)
+
+    def segments(self, segs, color="#1a1a1a", width=1.2):
+        """Line segments (n, 2, 2), each drawn as ``polyline`` draws a
+        two-point line: only when both of its ends are near the window."""
+        segs = np.asarray(segs, dtype=float)
+        self._polylines(segs[self._near(segs).all(axis=1)], color, width)
 
     def circle(self, x, y, r=3.0, color="#c62828"):
         self._parts.append(
@@ -86,38 +100,37 @@ class SvgCanvas:
                 f"{body}\n</svg>\n")
 
 
+# Corner offsets (di, dj) of a cell, counter-clockwise from (i, j); edge e
+# runs from corner e to corner e + 1 (mod 4).
+_CORNER_DI = np.array([0, 1, 1, 0])
+_CORNER_DJ = np.array([0, 0, 1, 1])
+
+
 def contour_segments(xs, ys, values, level):
-    """Marching-squares line segments of one iso-level.
+    """Marching-squares line segments of one iso-level, (n, 2, 2).
 
-    values has shape (len(xs), len(ys)); NaN cells are skipped.
+    values has shape (len(xs), len(ys)); cells with a NaN corner are
+    skipped.  An edge is crossed where exactly one end lies above the
+    level, at the linear interpolant.  A cell's crossings are taken in
+    edge order and paired first with second, third with fourth (the
+    saddle case); segments come in raster order of their cells.
     """
-    segs = []
-    v = values
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            corners = v[i, j], v[i + 1, j], v[i + 1, j + 1], v[i, j + 1]
-            if any(np.isnan(c) for c in corners):
-                continue
-            above = [c > level for c in corners]
-            if all(above) or not any(above):
-                continue
-            x0, x1, y0, y1 = xs[i], xs[i + 1], ys[j], ys[j + 1]
-
-            def interp(ca, cb, pa, pb):
-                t = (level - ca) / (cb - ca)
-                return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
-
-            pts = []
-            quad = [(corners[0], (x0, y0)), (corners[1], (x1, y0)),
-                    (corners[2], (x1, y1)), (corners[3], (x0, y1))]
-            for (ca, pa), (cb, pb) in zip(quad, quad[1:] + quad[:1]):
-                if (ca > level) != (cb > level):
-                    pts.append(interp(ca, cb, pa, pb))
-            if len(pts) >= 2:
-                segs.append((pts[0], pts[1]))
-            if len(pts) == 4:
-                segs.append((pts[2], pts[3]))
-    return segs
+    v = np.asarray(values, dtype=float)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    corners = np.stack([v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]],
+                       axis=-1)
+    above = corners > level
+    crossed = ((above != np.roll(above, -1, axis=-1))
+               & ~np.isnan(corners).any(axis=-1, keepdims=True))
+    i, j, start = np.nonzero(crossed)
+    end = (start + 1) % 4
+    ia, ja = i + _CORNER_DI[start], j + _CORNER_DJ[start]
+    ib, jb = i + _CORNER_DI[end], j + _CORNER_DJ[end]
+    ca, cb = v[ia, ja], v[ib, jb]
+    t = (level - ca) / (cb - ca)
+    pts = np.stack([xs[ia] + t * (xs[ib] - xs[ia]),
+                    ys[ja] + t * (ys[jb] - ys[ja])], axis=-1)
+    return pts.reshape(-1, 2, 2)
 
 
 def render_curves(extent, bifurcation=(), maxwell=(), labels=(), markers=(),
@@ -150,8 +163,8 @@ def render_potential(xs, ys, values, minima=(), n_levels=24, size=640,
     canvas.frame(title)
     vals = np.where(np.isfinite(values), values, np.nan)
     for level in levels:
-        for (ax, ay), (bx, by) in contour_segments(xs, ys, vals, level):
-            canvas.polyline([(ax, ay), (bx, by)], color="#555", width=0.8)
+        canvas.segments(contour_segments(xs, ys, vals, level),
+                        color="#555", width=0.8)
     for x, y in minima:
         canvas.circle(x, y)
     return canvas.render()

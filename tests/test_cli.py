@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,55 @@ class TestSurface:
                 assert all(1 <= int(tok) <= n_v for tok in line.split()[1:])
 
 
+def surface_mesh_obj_loop(fh, grid, beta_max):
+    """The mesh vertex by vertex: both sheets re-derived at each lattice
+    point, faces looked up in a dict."""
+    from potts_landscape.model import batch_catastrophe, batch_pq
+    d = grid
+    fh.write(f"# potts-landscape v1 surface mesh, grid {d}\n")
+    offset = 0
+    for sign in (+1, -1):
+        index = {}
+        vertices = []
+        for i in range(1, d):
+            for j in range(1, d - i):
+                nu = np.array([i, j, d - i - j], dtype=float) / d
+                inv = 1.0 / nu
+                s1 = inv.sum()
+                s2 = inv[0] * inv[1] + inv[0] * inv[2] + inv[1] * inv[2]
+                disc = max(s1 * s1 / 9.0 - s2 / 3.0, 0.0)
+                beta = s1 / 3.0 + sign * math.sqrt(disc)
+                if not (0.0 < beta <= beta_max):
+                    continue
+                p, q = batch_pq(batch_catastrophe(beta, nu))
+                index[(i, j)] = len(vertices) + 1
+                vertices.append((float(p), float(q), float(beta)))
+        fh.write(f"o sheet_{'plus' if sign > 0 else 'minus'}\n")
+        for v in vertices:
+            fh.write(f"v {v[0]!r} {v[1]!r} {v[2]!r}\n")
+        for i in range(1, d):
+            for j in range(1, d - i):
+                up = ((i, j), (i + 1, j), (i, j + 1))
+                down = ((i + 1, j), (i + 1, j + 1), (i, j + 1))
+                for tri in (up, down):
+                    if all(v in index for v in tri):
+                        fh.write("f " + " ".join(
+                            str(index[v] + offset) for v in tri) + "\n")
+        offset += len(vertices)
+
+
+@pytest.mark.parametrize("grid, beta_max", [
+    (64, 4.0), (64, 6.0), (48, 3.0), (17, 4.0), (16, 100.0), (18, 2.5),
+    (30, 3.0)])
+def test_obj_mesh_matches_vertex_loop(tmp_path, grid, beta_max):
+    out = tmp_path / "surf.obj"
+    assert run(["surface", "--format", "obj", "--grid", str(grid),
+                "--beta-max", repr(beta_max), "--out", str(out)]) == 0
+    expected = io.StringIO()
+    surface_mesh_obj_loop(expected, grid, beta_max)
+    assert out.read_text() == expected.getvalue()
+
+
 class TestCensusCommand:
     def test_four_phase_point(self, capsys):
         beta = repr(4.0 * math.log(2.0))
@@ -368,6 +418,21 @@ def test_census_outside_interior_exit_code(capsys):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure:")
     assert "smallest component" in lines[0] and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--beta", "1e200", "--alpha", "0.2,0.3,0.5"],
+    ["potential", "--beta", "1e200", "--format", "svg"],
+])
+def test_huge_beta_fails_with_one_line(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 3
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+    assert captured.out == ""
 
 
 class _StubParser:
@@ -490,6 +555,27 @@ class TestPotentialCommand:
         values = sorted(v for _, v in refined)
         assert len(values) >= 3
         assert values[2] - values[0] <= 1e-8
+
+    def test_grid_records_match_cell_loop(self, tmp_path):
+        out = tmp_path / "pot.csv"
+        assert run(["potential", "--beta", "2.6", "--alpha",
+                    "0.345,0.345,0.31", "--grid", "40",
+                    "--out", str(out)]) == 0
+        xs, ys, nu, values = cli._potential_grid(
+            2.6, pl.AprioriMeasure(0.345, 0.345, 0.31), 40)
+        records = []
+        for i in range(len(xs)):
+            for j in range(len(ys)):
+                if not np.isfinite(values[i, j]):
+                    continue
+                records.append({
+                    "beta": 2.6, "x": float(xs[i]), "y": float(ys[j]),
+                    "nu1": float(nu[i, j, 0]), "nu2": float(nu[i, j, 1]),
+                    "nu3": float(nu[i, j, 2]), "f": float(values[i, j]),
+                })
+        expected = io.StringIO()
+        write_csv(expected, "potential_grid", records)
+        assert out.read_text() == expected.getvalue()
 
     def test_svg_contours(self, tmp_path):
         out = tmp_path / "pot.svg"
