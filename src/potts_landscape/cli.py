@@ -32,8 +32,11 @@ SQRT3 = math.sqrt(3.0)
 _POSITIVE_FLAGS = ("beta", "beta_max", "extent", "step", "tol")
 
 # Integer size flags are bounded so that no input asks for more memory than
-# this.  Every subcommand holds its output as records of about 1 KiB each
-# before writing it, and cell labelling keeps about 64 bytes per pixel.
+# this, at 1 KiB per output record and 64 bytes per labelled pixel.  A
+# subcommand holds its whole output before writing it: slice, surface and
+# potential as numpy columns plus the text of each distinct value (500-650
+# bytes a record, all values distinct), the others as record dicts (a
+# maxwell record takes 2-4 KiB while it is written).
 MEMORY_BUDGET = 1 << 30
 _RECORD_BYTES = 1 << 10
 _PIXEL_BYTES = 64
@@ -113,20 +116,21 @@ def _parse_alpha(args) -> AprioriMeasure:
 # ---------------------------------------------------------------------------
 
 def _slice_records(curves):
-    records = []
-    for c in curves:
-        pq = batch_pq(c.alpha)
-        for k in range(len(c.x_param)):
-            records.append({
-                "beta": c.beta, "branch": c.branch.label,
-                "interval": c.interval_index, "x_param": float(c.x_param[k]),
-                "nu1": float(c.nu[k, 0]), "nu2": float(c.nu[k, 1]),
-                "nu3": float(c.nu[k, 2]),
-                "alpha1": float(c.alpha[k, 0]), "alpha2": float(c.alpha[k, 1]),
-                "alpha3": float(c.alpha[k, 2]),
-                "p": float(pq[k, 0]), "q": float(pq[k, 1]),
-            })
-    return records
+    if not curves:
+        return export.Table({})
+    counts = [len(c.x_param) for c in curves]
+    nu = np.concatenate([c.nu for c in curves])
+    alpha = np.concatenate([c.alpha for c in curves])
+    pq = np.concatenate([batch_pq(c.alpha) for c in curves])
+    return export.Table({
+        "beta": np.repeat([c.beta for c in curves], counts),
+        "branch": np.repeat([c.branch.label for c in curves], counts),
+        "interval": np.repeat([c.interval_index for c in curves], counts),
+        "x_param": np.concatenate([c.x_param for c in curves]),
+        "nu1": nu[:, 0], "nu2": nu[:, 1], "nu3": nu[:, 2],
+        "alpha1": alpha[:, 0], "alpha2": alpha[:, 1], "alpha3": alpha[:, 2],
+        "p": pq[:, 0], "q": pq[:, 1],
+    })
 
 
 def label_slice_cells(beta, curves, extent, resolution=512, tol=DEFAULT_TOL):
@@ -180,21 +184,18 @@ def cmd_slice(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _surface_records(patches, beta_max):
-    records = []
-    for patch in patches:
-        keep = patch.beta <= beta_max
-        pq = batch_pq(patch.alpha)
-        for k in np.flatnonzero(keep):
-            records.append({
-                "sign": patch.sign,
-                "nu1": float(patch.nu[k, 0]), "nu2": float(patch.nu[k, 1]),
-                "nu3": float(patch.nu[k, 2]), "beta": float(patch.beta[k]),
-                "alpha1": float(patch.alpha[k, 0]),
-                "alpha2": float(patch.alpha[k, 1]),
-                "alpha3": float(patch.alpha[k, 2]),
-                "p": float(pq[k, 0]), "q": float(pq[k, 1]),
-            })
-    return records
+    keep = [patch.beta <= beta_max for patch in patches]
+    nu = np.concatenate([p.nu[k] for p, k in zip(patches, keep)])
+    alpha = np.concatenate([p.alpha[k] for p, k in zip(patches, keep)])
+    pq = np.concatenate([batch_pq(p.alpha)[k] for p, k in zip(patches, keep)])
+    return export.Table({
+        "sign": np.repeat([p.sign for p in patches],
+                          [np.count_nonzero(k) for k in keep]),
+        "nu1": nu[:, 0], "nu2": nu[:, 1], "nu3": nu[:, 2],
+        "beta": np.concatenate([p.beta[k] for p, k in zip(patches, keep)]),
+        "alpha1": alpha[:, 0], "alpha2": alpha[:, 1], "alpha3": alpha[:, 2],
+        "p": pq[:, 0], "q": pq[:, 1],
+    })
 
 
 def _surface_mesh_obj(fh, grid, beta_max):
@@ -431,12 +432,11 @@ def cmd_potential(args) -> int:
         return 0
 
     i, j = np.nonzero(np.isfinite(values))
-    records = [{"beta": params.beta, "x": x, "y": y,
-                "nu1": a, "nu2": b, "nu3": c, "f": f}
-               for x, y, (a, b, c), f in zip(
-                   xs[i].tolist(), ys[j].tolist(), nu[i, j].tolist(),
-                   values[i, j].tolist())]
-    _write_records(args, "potential_grid", records)
+    nu = nu[i, j]
+    _write_records(args, "potential_grid", export.Table({
+        "beta": np.full(len(i), params.beta), "x": xs[i], "y": ys[j],
+        "nu1": nu[:, 0], "nu2": nu[:, 1], "nu3": nu[:, 2],
+        "f": values[i, j]}))
     return 0
 
 

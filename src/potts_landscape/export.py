@@ -5,15 +5,19 @@ files start with the line ``# potts-landscape v1 <kind>`` followed by a
 header row; floats are serialized as shortest round-trip decimals, so a
 reload reproduces the in-memory values bit for bit.  JSON files hold an
 array of flat objects with the same field names plus ``kind`` and
-``schema_version``.  Both writers stop with a ``NumericalError`` at the
-first non-finite float; ``None`` marks an unused column (the spare Maxwell
-minimizer slots).
+``schema_version``.  The writers take a ``Table`` of columns or a list of
+record dicts and format one column at a time, each distinct value once.
+Both refuse a non-finite float with a ``NumericalError`` before writing
+anything; ``None`` marks an unused column (the spare Maxwell minimizer
+slots).  The readers raise ``DomainError`` on a malformed file.
 """
 
 from __future__ import annotations
 
 import json
 import math
+
+import numpy as np
 
 from .errors import DomainError, NumericalError
 
@@ -62,40 +66,129 @@ SCHEMAS = {
 }
 
 
-def _format_value(value, name: str) -> str:
+class Table:
+    """Records held as columns: ``columns[name]`` is a 1-D array or list
+    with one entry per record; ``len()`` is the number of records.  A
+    schema column missing from ``columns`` is written as empty cells."""
+
+    def __init__(self, columns: dict):
+        lengths = {len(col) for col in columns.values()}
+        if len(lengths) > 1:
+            raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+        self.columns = columns
+        self._n = lengths.pop() if lengths else 0
+
+    def __len__(self) -> int:
+        return self._n
+
+
+def _table(records, names) -> Table:
+    """A ``Table``, or a list of record dicts transposed into one."""
+    if isinstance(records, Table):
+        return records
+    records = list(records)
+    return Table({name: [rec.get(name) for rec in records]
+                  for name in names})
+
+
+def _text(value, name: str, as_json: bool) -> str:
+    """One cell: ``None`` is empty (``null``), a float its shortest
+    round-trip repr; non-finite floats are refused."""
     if value is None:
-        return ""
+        return "null" if as_json else ""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise NumericalError(f"refusing to write non-finite {name} = "
                                  f"{value!r}")
-        return repr(value)
-    return str(value)
+        return float.__repr__(value)
+    return json.dumps(value) if as_json else str(value)
 
 
-def write_csv(fh, kind: str, records: list) -> None:
-    columns = SCHEMAS[kind]
+def _column(table: Table, name: str, as_json: bool, prefix: str,
+            suffix: str):
+    """(texts, index): the text of each distinct value of the column with
+    ``prefix`` and ``suffix`` attached, and the row -> text index (None:
+    one text per row).  Numeric and string arrays are reduced to their
+    distinct values first, floats by bit pattern so -0.0 stays apart."""
+    col = table.columns.get(name)
+    index = None
+    if col is None:
+        texts = [_text(None, name, as_json)] * len(table)
+    elif isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        col = col.astype(np.float64, copy=False)
+        bad = ~np.isfinite(col)
+        if bad.any():
+            value = float(col[np.argmax(bad)])
+            raise NumericalError(f"refusing to write non-finite {name} = "
+                                 f"{value!r}")
+        keys, index = np.unique(col.view(np.int64), return_inverse=True)
+        texts = list(map(float.__repr__, keys.view(np.float64).tolist()))
+    elif isinstance(col, np.ndarray) and col.dtype.kind in "iubU":
+        keys, index = np.unique(col, return_inverse=True)
+        texts = [_text(v, name, as_json) for v in keys.tolist()]
+    else:
+        texts = [_text(v, name, as_json) for v in col]
+    if prefix or suffix:
+        texts = [prefix + text + suffix for text in texts]
+    if index is not None:
+        texts = np.array(texts, dtype=object)
+    return texts, index
+
+
+# Rows are joined and written this many at a time (more rows per write buy
+# no speed and hold a larger text).
+_CHUNK = 1024
+
+
+def _write_rows(fh, table: Table, columns: list, row_sep: str) -> None:
+    """Every row: its column texts joined by ',', rows by ``row_sep``."""
+    for start in range(0, len(table), _CHUNK):
+        stop = min(start + _CHUNK, len(table))
+        cells = [texts[start:stop] if index is None
+                 else texts[index[start:stop]].tolist()
+                 for texts, index in columns]
+        if start:
+            fh.write(row_sep)
+        fh.write(row_sep.join(map(",".join, zip(*cells))))
+
+
+def write_csv(fh, kind: str, records) -> None:
+    """CSV of a ``Table`` or a list of record dicts.  Every column is
+    formatted, and so checked, before anything is written."""
+    names = [name for name, _ in SCHEMAS[kind]]
+    table = _table(records, names)
+    columns = [_column(table, name, False, "",
+                       "\n" if name == names[-1] else "") for name in names]
     fh.write(f"{MAGIC} {kind}\n")
-    fh.write(",".join(name for name, _ in columns) + "\n")
-    for rec in records:
-        fh.write(",".join(_format_value(rec.get(name), name)
-                          for name, _ in columns) + "\n")
+    fh.write(",".join(names) + "\n")
+    _write_rows(fh, table, columns, "")
 
 
-def write_json(fh, kind: str, records: list) -> None:
-    columns = SCHEMAS[kind]
-    out = []
-    for rec in records:
-        obj = {"kind": kind, "schema_version": SCHEMA_VERSION}
-        for name, _ in columns:
-            obj[name] = rec.get(name)
-        out.append(obj)
-    try:
-        json.dump(out, fh, indent=1, allow_nan=False)
-    except ValueError as exc:
-        raise NumericalError(f"refusing to write {kind} records: "
-                             f"{exc}") from None
-    fh.write("\n")
+def write_json(fh, kind: str, records) -> None:
+    """JSON of a ``Table`` or a list of record dicts, laid out exactly as
+    ``json.dump(objects, fh, indent=1)`` followed by a newline.  Each
+    object starts with ``kind`` and ``schema_version``; a column of the
+    same name (the census ``kind``) takes that first slot.  Every column
+    is formatted, and so checked, before anything is written."""
+    names = [name for name, _ in SCHEMAS[kind]]
+    table = _table(records, names)
+    constants = {"kind": kind, "schema_version": SCHEMA_VERSION}
+    fields = list(dict.fromkeys([*constants, *names]))
+    columns, prefix = [], " {"
+    for field in fields:
+        prefix += f"\n  {json.dumps(field)}: "
+        if field not in names:
+            prefix += json.dumps(constants[field]) + ","
+            continue
+        suffix = "\n }" if field == fields[-1] else ""
+        columns.append(_column(table, field, True, prefix, suffix))
+        prefix = ""
+    if not len(table):
+        fh.write("[]\n")
+        return
+    fh.write("[\n")
+    _write_rows(fh, table, columns, ",\n")
+    fh.write("\n]\n")
 
 
 def read_csv(path: str):
@@ -112,21 +205,38 @@ def read_csv(path: str):
         if names != [name for name, _ in columns]:
             raise DomainError(f"column mismatch for kind {kind!r} in {path}")
         records = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=3):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             cells = line.split(",")
+            if len(cells) != len(columns):
+                raise DomainError(f"{path} line {lineno}: {len(cells)} cells, "
+                                  f"expected {len(columns)}")
             rec = {}
             for (name, typ), cell in zip(columns, cells):
-                rec[name] = typ(cell) if cell != "" else None
+                try:
+                    rec[name] = typ(cell) if cell != "" else None
+                except ValueError:
+                    raise DomainError(f"{path} line {lineno}: cannot parse "
+                                      f"{name} = {cell!r}") from None
             records.append(rec)
     return kind, records
 
 
 def read_json(path: str):
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise DomainError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(data, list):
+        raise DomainError(f"{path}: top level is a {type(data).__name__}, "
+                          f"expected an array of records")
+    for k, obj in enumerate(data):
+        if not isinstance(obj, dict):
+            raise DomainError(f"{path} entry {k} is a "
+                              f"{type(obj).__name__}, expected an object")
     if not data:
         return None, []
     kind = data[0].get("kind")
