@@ -1,17 +1,20 @@
 """Stable phase diagram: equal-depth (coexistence) sets of global minima.
 
-On the symmetry axis with the third field component suppressed the
-coexistence set is a straight segment whose upper endpoint is known in
-closed form up to the butterfly temperature and is the triple point beyond
-it.  The triple point is located by bisecting the depth difference between
-the mirror-symmetric pair of minima and the best symmetric minimum, all
-read off the census and tracked with Newton polishing.  Off the axis the
-coexistence curve is continued by solving the field-free system
+Two minimizers (mu, nu) of one field are equally deep exactly when they
+solve the field-free system
 
     stationary_value(mu) = stationary_value(nu),  chi(mu) = chi(nu)
 
-for the two minimizers (mu, nu), sweeping one state coordinate per step
-(the dominant tangent component, which is the first component of the
+three equations in the four local coordinates of the pair, with chi the
+catastrophe map.  On the symmetry axis with the third field component
+suppressed the coexistence set is a straight segment, whose mirror pair is
+continued from a census by polishing along the axis.  Its upper endpoint is
+known in closed form up to the butterfly temperature and is the triple
+point beyond it: the system with mu held on the axis, mu = (m, m, 1 - 2m),
+three equations in (m, nu1, nu2), solved by damped Newton from census
+minima on the axis.  Off the axis the coexistence curve is continued from
+the triple point on the same system, sweeping one state coordinate per
+step (the dominant tangent component, which is the first component of the
 symmetric-side minimizer wherever that parametrization is well posed);
 the initial-value-problem form of the curve is used only as a tangent
 cross-check in the tests.  Where the pair merges at a cusp of the
@@ -29,10 +32,10 @@ import numpy as np
 from .critical import BETA_BUTTERFLY, BETA_ELLIS_WANG
 from .errors import DomainError, NumericalError
 from .model import (DEFAULT_TOL, AprioriMeasure, ModelParams,
-                    SpinDistribution, ToleranceConfig, batch_catastrophe,
-                    batch_free_energy, batch_from_xy, batch_stationary_value,
-                    batch_xy, hessian_eigenvalues)
-from .stationary import MinimaCensus, census, newton_stationary
+                    SpinDistribution, ToleranceConfig, _check_beta,
+                    batch_catastrophe, batch_free_energy, batch_from_xy,
+                    batch_stationary_value, batch_xy, hessian_eigenvalues)
+from .stationary import MinimaCensus, _polish, census
 
 _SWAP12 = (1, 0, 2)
 
@@ -105,9 +108,7 @@ def symmetric_segment(beta: float, tol: ToleranceConfig = DEFAULT_TOL) -> AxisSe
     Above the butterfly temperature the upper endpoint is the triple
     point's y-coordinate; from the four-phase temperature on it is 0.
     """
-    beta = float(beta)
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta must be positive, got {beta!r}")
+    beta = _check_beta(beta)
     if beta <= 2.0:
         return AxisSegment(beta, -0.5, -0.5)
     if beta <= BETA_BUTTERFLY:
@@ -122,30 +123,12 @@ def _segment_to_triple(tp: CoexistencePoint) -> AxisSegment:
     return AxisSegment(tp.beta, -0.5, float(batch_xy(tp.alpha.array)[1]))
 
 
-def _alpha_on_axis(y: float) -> np.ndarray:
-    return batch_from_xy([0.0, float(y)])
-
-
-def _polish_minimum(beta: float, alpha: np.ndarray, seed: np.ndarray,
-                    tol: ToleranceConfig, require_min: bool = True):
-    """Newton-polish one seed; return the point or None if it is lost."""
-    out = newton_stationary(beta, alpha, np.asarray(seed, float)[None, :], tol)
-    if len(out) == 0:
-        return None
-    point = out[0]
-    if require_min:
-        eigs = hessian_eigenvalues(beta, point)
-        if eigs[0] <= tol.degenerate_eig:
-            return None
-    return point
-
-
 def axis_minima(beta: float, y: float, tol: ToleranceConfig = DEFAULT_TOL):
     """Split the minima at the axis point with the given y-coordinate into
     symmetric ones (first two components equal) and the pair member with
     x > 0, read off the census there.  Returns (sym, asym) as lists of
     simplex arrays."""
-    alpha = AprioriMeasure.from_array(_alpha_on_axis(y))
+    alpha = AprioriMeasure.from_array(batch_from_xy([0.0, float(y)]))
     sym, asym = [], []
     for p in census(ModelParams(beta, alpha), tol=tol).minima:
         x = float(batch_xy(p.nu.array)[0])
@@ -156,96 +139,15 @@ def axis_minima(beta: float, y: float, tol: ToleranceConfig = DEFAULT_TOL):
     return sym, asym
 
 
-def axis_slice_crossings(beta: float, samples_per_interval: int = 800) -> list:
-    """y-coordinates in (-1/2, 0) at which the constant-temperature slice
-    crosses the symmetry axis of the field triangle.  Between consecutive
-    crossings the minima structure along the axis is constant."""
-    from .bifurcation import _gamma_unchecked, slice_curves
-
-    def axis_p(curve, x):
-        g = _gamma_unchecked(beta, x)
-        nu = np.array([x, g, 1.0 - x - g])
-        alpha = batch_catastrophe(beta, curve.branch.apply(nu))
-        return math.log(alpha[0] / alpha[1])
-
-    ys = []
-    for curve in slice_curves(beta, samples_per_interval):
-        la = np.log(curve.alpha)
-        p = la[:, 0] - la[:, 1]
-        sign_change = np.flatnonzero(p[:-1] * p[1:] < 0.0)
-        for k in sign_change:
-            lo, hi = float(curve.x_param[k]), float(curve.x_param[k + 1])
-            plo = axis_p(curve, lo)
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                pm = axis_p(curve, mid)
-                if pm == 0.0:
-                    lo = hi = mid
-                    break
-                if (pm > 0.0) == (plo > 0.0):
-                    lo, plo = mid, pm
-                else:
-                    hi = mid
-            x_star = 0.5 * (lo + hi)
-            g = _gamma_unchecked(beta, x_star)
-            nu = np.array([x_star, g, 1.0 - x_star - g])
-            alpha = batch_catastrophe(beta, curve.branch.apply(nu))
-            y = float(batch_xy(alpha)[1])
-            if -0.5 + 1e-9 < y < -1e-9:
-                ys.append(y)
-    ys.sort()
-    dedup = []
-    for y in ys:
-        if not dedup or y - dedup[-1] > 1e-9:
-            dedup.append(y)
-    return dedup
-
-
-class _AxisTracker:
-    """Newton-continued minima along the symmetry axis, giving the depth
-    difference between the asymmetric pair and the best symmetric minimum.
-    Moves in sub-steps so no branch is lost on large jumps."""
-
-    max_substep = 0.01
-
-    def __init__(self, beta, y, sym_points, asym_point, tol):
-        self.beta = beta
-        self.tol = tol
-        self.y = float(y)
-        self.sym = [np.array(p) for p in sym_points]
-        self.asym = np.array(asym_point)
-        self.best_sym = None
-
-    def _advance(self, y: float) -> None:
-        alpha = _alpha_on_axis(y)
-        new_asym = _polish_minimum(self.beta, alpha, self.asym, self.tol)
-        if new_asym is None or float(batch_xy(new_asym)[0]) <= 1e-9:
-            raise NumericalError(
-                f"lost the asymmetric minimum branch at axis point y = {y}")
-        self.asym = new_asym
-        survivors = []
-        for s in self.sym:
-            cand = _polish_minimum(self.beta, alpha, s, self.tol)
-            if cand is not None and abs(float(batch_xy(cand)[0])) <= 1e-7:
-                if all(np.abs(cand - kept).max() > 1e-9 for kept in survivors):
-                    survivors.append(cand)
-        if not survivors:
-            raise NumericalError(
-                f"lost all symmetric minima branches at axis point y = {y}")
-        self.sym = survivors
-        self.y = y
-
-    def gap(self, y: float) -> float:
-        dist = abs(y - self.y)
-        n_sub = max(1, int(math.ceil(dist / self.max_substep)))
-        for k in range(1, n_sub + 1):
-            self._advance(self.y + (y - self.y) * k / n_sub)
-        alpha = _alpha_on_axis(y)
-        values = [float(batch_free_energy(self.beta, alpha, s))
-                  for s in self.sym]
-        self.best_sym = self.sym[int(np.argmin(values))]
-        f_asym = float(batch_free_energy(self.beta, alpha, self.asym))
-        return f_asym - min(values)
+# Axis points whose census minima seed the triple-point solve, in the order
+# they are read; a seed pair may take its two minimizers from different
+# points.
+_TRIPLE_SEED_YS = (-0.25, -0.1, -0.03, 0.0)
+# Free directions of the triple-point solve in (mu1, mu2, nu1, nu2): the
+# symmetric minimizer (m, m, 1 - 2m) moves along (1, 1, 0, 0), the pair
+# member freely.
+_AXIS_BASIS = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                        [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def triple_point(beta: float,
@@ -253,77 +155,55 @@ def triple_point(beta: float,
     """The on-axis point where the mirror pair and the symmetric minimum
     are equally deep, for butterfly < beta < four-phase temperature.
 
-    The slice crossings partition the axis into windows of constant minima
-    structure; inside the (unique) window holding both the pair and a
-    symmetric minimum the depth difference is bisected to equality.
+    It solves the field-free coexistence system for a symmetric minimizer
+    mu = (m, m, 1 - 2m) and one pair member nu, three equations in
+    (m, nu1, nu2), by damped Newton from pairs of census minima on the
+    axis.  A solution counts only if the census at its field has exactly
+    mu, nu and the mirror of nu as its global minimizers: the system also
+    holds for metastable ties, such as the corner pair at zero field.
     """
     beta = float(beta)
     if not BETA_BUTTERFLY < beta < BETA_ELLIS_WANG:
         raise DomainError(
             f"triple point requires 18/7 < beta < 4 log 2, got {beta}")
 
-    crossings = axis_slice_crossings(beta)
-    edges = [-0.5] + crossings + [0.0]
-    bracket = None
-    for a, b in zip(edges, edges[1:]):
-        inset = 0.02 * (b - a)
-        y_lo, y_hi = a + inset, b - inset
-        sym, asym = axis_minima(beta, 0.5 * (a + b), tol)
-        if not (sym and asym):
-            continue
-        tracker = _AxisTracker(beta, 0.5 * (a + b), sym, asym[0], tol)
-        try:
-            g_lo = tracker.gap(y_lo)
-            g_hi = tracker.gap(y_hi)
-        except NumericalError:
-            continue
-        if (g_lo > 0.0) != (g_hi > 0.0):
-            if bracket is not None:
-                raise NumericalError(
-                    f"multiple depth-equality windows on the axis at "
-                    f"beta = {beta}")
-            bracket = (y_lo, g_lo, y_hi, g_hi, tracker)
-    if bracket is None:
-        raise NumericalError(
-            f"no depth-equality sign change found on the axis at beta = {beta}")
+    syms, asyms = [], []
+    for y in _TRIPLE_SEED_YS:
+        sym, asym = axis_minima(beta, y, tol)
+        # pair the new minima with each other and with those seen before
+        pairs = [(s, a) for s in syms for a in asym]
+        pairs += [(s, a) for s in sym for a in asyms + asym]
+        syms += sym
+        asyms += asym
+        for s, a in pairs:
+            # to about a hundred times rounding, so that the result does
+            # not depend on the seed
+            w = _solve_pair(beta, np.array([s[0], s[0], a[0], a[1]]),
+                            _AXIS_BASIS, res_tol=1e-14)
+            tp = None if w is None else _global_triple(beta, w, tol)
+            if tp is not None:
+                return tp
+    raise NumericalError(
+        f"no triple point found on the axis at beta = {beta}")
 
-    y_lo, g_lo, y_hi, g_hi, tracker = bracket
-    for _ in range(100):
-        if y_hi - y_lo <= 1e-13:
-            break
-        mid = 0.5 * (y_lo + y_hi)
-        g_mid = tracker.gap(mid)
-        if g_mid == 0.0:
-            y_lo = y_hi = mid
-            break
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            y_lo, g_lo = mid, g_mid
-        else:
-            y_hi = mid
 
-    y_star = 0.5 * (y_lo + y_hi)
-    tracker.gap(y_star)
-    alpha = _alpha_on_axis(y_star)
-    asym = tracker.asym
-    mirror = _polish_minimum(beta, alpha, asym[list(_SWAP12)], tol)
-    if mirror is None:
-        raise NumericalError("lost the mirror minimum while polishing the "
-                             "triple point")
-    minimizers = np.array([asym, mirror, tracker.best_sym])
-    values = batch_free_energy(beta, alpha, minimizers)
-    if float(values.max() - values.min()) > tol.coexistence_depth:
-        raise NumericalError(
-            f"triple-point depths disagree beyond tolerance: {values}")
-
-    xy = batch_xy(minimizers)
-    order = np.lexsort((xy[:, 1], xy[:, 0]))
+def _global_triple(beta: float, w: np.ndarray, tol: ToleranceConfig):
+    """The triple point carried by a solution of the axis-constrained
+    system, or None unless its three minimizers are precisely the global
+    minimizers of the census at its field."""
+    mu, nu = _pair_from_state(w)
+    minimizers = np.array([mu, nu, nu[list(_SWAP12)]])
+    minimizers = minimizers[np.lexsort(batch_xy(minimizers).T[::-1])]
+    alpha = AprioriMeasure.from_array(batch_catastrophe(beta, mu))
+    found = census(ModelParams(beta, alpha), tol=tol).global_minimizers
+    values = batch_free_energy(beta, alpha.array, minimizers)
+    if (len(found) != 3 or values.max() - values.min() > tol.coexistence_depth
+            or np.abs([p.nu.array for p in found] - minimizers).max() > 1e-6):
+        return None
     return CoexistencePoint(
-        beta=beta,
-        alpha=AprioriMeasure.from_array(alpha),
-        minimizers=tuple(SpinDistribution.from_array(minimizers[k])
-                         for k in order),
-        depth=float(values.mean()),
-    )
+        beta=beta, alpha=alpha,
+        minimizers=tuple(SpinDistribution.from_array(m) for m in minimizers),
+        depth=float(values.mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +267,11 @@ def _pair_tangent(beta: float, w: np.ndarray) -> np.ndarray:
     return vt[-1]
 
 
-def _solve_pair_pinned(beta: float, w0: np.ndarray, pivot: int,
-                       res_tol: float = 1e-12, max_iter: int = 60):
-    """Damped Newton on the field-free system with one state coordinate
-    frozen; returns the full state vector or None.
+def _solve_pair(beta: float, w0: np.ndarray, basis: np.ndarray,
+                res_tol: float = 1e-12, max_iter: int = 60):
+    """Damped Newton on the field-free system, moving the state vector only
+    along the three columns of ``basis`` (4x3); returns the state vector or
+    None.
 
     The line search halves the step length lam until the residual norm
     drops by at least 1e-4 lam |r| (Armijo).  It stagnates, and the solve
@@ -398,7 +279,6 @@ def _solve_pair_pinned(beta: float, w0: np.ndarray, pivot: int,
     below ``res_tol``: so short a step can no longer decide convergence,
     only chase rounding noise."""
     w = np.array(w0, dtype=float)
-    free = [k for k in range(4) if k != pivot]
     r = _pair_residual(beta, w)
     if not np.all(np.isfinite(r)):
         return None
@@ -406,17 +286,15 @@ def _solve_pair_pinned(beta: float, w0: np.ndarray, pivot: int,
     for _ in range(max_iter):
         if rn <= res_tol:
             return w
-        jac = _pair_jacobian(beta, w)[:, free]
         try:
-            step = np.linalg.solve(jac, -r)
+            step = basis @ np.linalg.solve(_pair_jacobian(beta, w) @ basis, -r)
         except np.linalg.LinAlgError:
             return None
         lam = 1.0
         while True:
             if lam * rn <= res_tol:
                 return None
-            cand = w.copy()
-            cand[free] += lam * step
+            cand = w + lam * step
             rc = _pair_residual(beta, cand)
             rcn = np.linalg.norm(rc)
             if np.isfinite(rcn) and rcn <= (1.0 - 1e-4 * lam) * rn:
@@ -497,7 +375,9 @@ def coexistence_curve(beta: float, step: float = 0.005,
     component of the symmetric-side minimizer turns around.  The starting
     direction is the one whose points carry the tracked pair as the global
     minimizers (census probe); the opposite direction continues a
-    metastable branch.  Termination:
+    metastable branch.  The probe and the opening steps are shorter than
+    ``step`` where the triple point's geometry asks for it (see
+    ``h_open``); later steps double back up to ``step``.  Termination:
 
     - 'fold': the pair merges into a cusp of the bifurcation set.  Once a
       tracked minimizer's smallest Hessian eigenvalue is down to
@@ -518,6 +398,11 @@ def coexistence_curve(beta: float, step: float = 0.005,
     asym = next(p.array for p in tp.minimizers
                 if float(batch_xy(p.array)[0]) > 1e-7)
     w_start = np.array([sym[0], sym[1], asym[0], asym[1]])
+    # next to the butterfly point the curve is about half a pair gap long,
+    # and next to the four-phase temperature it meets the neighbouring
+    # triple point a few |y| away; the opening steps stay below both
+    h_open = min(step, 0.1 * _pair_gap(w_start),
+                 abs(float(batch_xy(tp.alpha.array)[1])))
 
     def attempt(w, tangent, h):
         """One predictor-corrector step of length h; returns the new state,
@@ -525,7 +410,7 @@ def coexistence_curve(beta: float, step: float = 0.005,
         failure."""
         pred = w + h * tangent
         pivot = int(np.argmax(np.abs(tangent)))
-        w_new = _solve_pair_pinned(beta, pred, pivot)
+        w_new = _solve_pair(beta, pred, np.delete(np.eye(4), pivot, axis=1))
         if w_new is None:
             return None
         mu_n, nu_n = _pair_from_state(w_new)
@@ -553,7 +438,7 @@ def coexistence_curve(beta: float, step: float = 0.005,
         w = w_start.copy()
         t = t0
         for _ in range(4):
-            got = attempt(w, t, step)
+            got = attempt(w, t, h_open)
             if got is None or isinstance(got, str):
                 return None
             w = got
@@ -593,7 +478,7 @@ def coexistence_curve(beta: float, step: float = 0.005,
     w = w_start.copy()
     tangent = t_first
     status = "max-steps"
-    h, h_failed = step, None
+    h, h_failed = h_open, None
     while len(points) < max_steps:
         gap = _pair_gap(w)
         if gap < 1e-6:
@@ -652,36 +537,50 @@ def beyond_ellis_wang_segment(beta: float,
 def track_segment_pair(segment: AxisSegment, n: int = 40,
                        tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """Sample the axis segment and attach the mirror pair of global
-    minimizers to each sample by Newton continuation from the midpoint."""
+    minimizers to each sample, continued from the census at the midpoint:
+    each sample polishes the secant extrapolation of the previous two, or
+    reads the nearest pair member off the census there if the samples are
+    too far apart for the polish."""
     if segment.is_empty:
         return []
+    beta = segment.beta
     ys = segment.sample_ys(n)
     mid = n // 2
-    _, asym = axis_minima(segment.beta, float(ys[mid]), tol)
+    _, asym = axis_minima(beta, float(ys[mid]), tol)
     if not asym:
         raise NumericalError(
-            f"no mirror pair found at the segment midpoint, beta = "
-            f"{segment.beta}")
+            f"no mirror pair found at the segment midpoint, beta = {beta}")
 
     out: dict = {}
 
-    def walk(indices, start):
-        cur = np.array(start)
+    def walk(indices, path):
+        """Extend ``path``, the pair member at the samples before
+        ``indices``, over ``indices`` while the pair exists."""
         for k in indices:
-            alpha = _alpha_on_axis(ys[k])
-            cur = _polish_minimum(segment.beta, alpha, cur, tol)
-            if cur is None:
-                break
+            seed = path[-1] if len(path) < 2 else 2.0 * path[-1] - path[-2]
+            alpha = batch_from_xy([0.0, ys[k]])
+            got = (_polish(beta, alpha, seed[None, :], tol)
+                   if seed.min() > 0.0 else [])
+            if len(got) and (hessian_eigenvalues(beta, got[0])[0]
+                             > tol.degenerate_eig):
+                cur = got[0]
+            else:
+                # too long a step for the polish: the census there
+                _, pair = axis_minima(beta, float(ys[k]), tol)
+                if not pair:
+                    break
+                cur = min(pair, key=lambda m: np.abs(m - seed).max())
+            path.append(cur)
             mirror = cur[list(_SWAP12)]
-            vals = batch_free_energy(segment.beta, alpha,
-                                     np.stack([cur, mirror]))
+            vals = batch_free_energy(beta, alpha, np.stack([cur, mirror]))
             out[k] = CoexistencePoint(
-                beta=segment.beta,
+                beta=beta,
                 alpha=AprioriMeasure.from_array(alpha),
                 minimizers=(SpinDistribution.from_array(cur),
                             SpinDistribution.from_array(mirror)),
                 depth=float(vals.mean()))
+        return path
 
-    walk(range(mid, n), asym[0])
-    walk(range(mid - 1, -1, -1), asym[0])
+    up = walk(range(mid, n), [asym[0]])
+    walk(range(mid - 1, -1, -1), (up[1:3] or [asym[0]])[::-1])
     return [out[k] for k in sorted(out)]

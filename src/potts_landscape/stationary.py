@@ -18,11 +18,12 @@ a few Newton steps on the local gradient and classified through the Hessian
 spectrum.  ``census`` wraps this into the minima count that settles which
 cell of the phase diagram a parameter point belongs to.
 
-Damped Newton from a barycentric seed lattice
-(``stationary_points_from_seeds``) remains for the minimum tracking in
-``maxwell`` and as an independent method in the tests, and
-``brute_force_global_min`` is the slow grid oracle used to cross-check
-global-minimizer claims.
+Damped Newton from a barycentric seed lattice (``newton_stationary``,
+``stationary_points_from_seeds``) is kept only as the tests' independent
+method: no other module of the package calls it.  ``brute_force_global_min``
+is the slow grid oracle used to cross-check global-minimizer claims; it
+refines the best lattice node with the same few Newton steps that polish
+the census roots.
 """
 
 from __future__ import annotations
@@ -485,13 +486,23 @@ def census(params: ModelParams,
 def brute_force_global_min(params: ModelParams, grid_density: int = 200,
                            tol: ToleranceConfig = DEFAULT_TOL) -> SpinDistribution:
     """Grid-scan oracle for the global minimizer: argmin of the free energy
-    over a dense barycentric lattice, refined by one Newton run."""
+    over a dense barycentric lattice, refined by ``_polish``.
+
+    Next to an edge the polish converges only from within a factor of
+    about e of the small component, which can be finer than the lattice;
+    the argmin is then taken again over a local lattice a quarter as
+    wide, centred on the best node, until the polish converges."""
     if grid_density < 100:
         raise DomainError(f"grid_density must be >= 100, got {grid_density}")
-    grid = barycentric_grid(grid_density)
-    values = batch_free_energy(params.beta, params.alpha.array, grid)
-    best = grid[int(np.argmin(values))]
-    refined = newton_stationary(params.beta, params.alpha.array,
-                                best[None, :], tol)
-    point = refined[0] if len(refined) else best
-    return SpinDistribution.from_array(point)
+    beta, alpha = params.beta, params.alpha.array
+    zoom = np.array([(i, j, -i - j) for i in range(-4, 5)
+                     for j in range(-4, 5)]) / 4.0
+    nodes, spacing = barycentric_grid(grid_density), 1.0 / grid_density
+    while True:
+        nodes = nodes[nodes.min(axis=1) > 0.0]
+        best = nodes[int(np.argmin(batch_free_energy(beta, alpha, nodes)))]
+        refined = _polish(beta, alpha, best[None, :], tol)
+        if len(refined) or spacing < 1e-9:
+            return SpinDistribution.from_array(
+                refined[0] if len(refined) else best)
+        nodes, spacing = best + spacing * zoom, spacing / 4.0

@@ -11,15 +11,13 @@ import pytest
 
 import potts_landscape as pl
 from potts_landscape.cli import main
-from potts_landscape.maxwell import (axis_minima, axis_slice_crossings,
-                                     ivp_tangent, segment_upper_endpoint_y,
-                                     _AxisTracker)
+from potts_landscape.maxwell import ivp_tangent, segment_upper_endpoint_y
 from potts_landscape.model import (batch_degeneracy_lhs, batch_free_energy,
                                    batch_from_xy, batch_gradient,
                                    batch_hessian, batch_uv)
 from potts_landscape.stationary import PointKind
 
-from conftest import random_interior
+from conftest import assert_single_axis_tie, random_interior
 
 AUNIFORM = pl.AprioriMeasure.uniform()
 EW = 4.0 * math.log(2.0)
@@ -159,14 +157,7 @@ def test_07_maxwell_sets():
         assert max(values) - min(values) <= 1e-8
 
         # uniqueness: a single sign change of the depth gap on the axis
-        lo, hi = axis_slice_crossings(beta)
-        width = hi - lo
-        ys = np.linspace(lo + 0.02 * width, hi - 0.02 * width, 31)
-        sym, asym = axis_minima(beta, float(ys[0]))
-        tracker = _AxisTracker(beta, float(ys[0]), sym, asym[0],
-                               pl.DEFAULT_TOL)
-        gaps = np.array([tracker.gap(float(y)) for y in ys])
-        assert int(np.sum(np.sign(gaps[:-1]) != np.sign(gaps[1:]))) == 1
+        assert_single_axis_tie(beta, pl.to_xy(tp.alpha).y)
 
         # continued curve: census equal-depth checks and IVP tangent
         curve = pl.coexistence_curve(beta, step=0.005, origin=tp)

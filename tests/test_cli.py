@@ -462,6 +462,18 @@ class TestMaxwellCommand:
         for a, b in zip(curve, mirror):
             assert a["alpha1"] == b["alpha2"] and a["alpha2"] == b["alpha1"]
 
+    @pytest.mark.parametrize("beta", ["2.7605", "2.77"])
+    def test_next_to_four_phase_temperature(self, tmp_path, beta):
+        out = tmp_path / "maxwell.csv"
+        assert run(["maxwell", "--beta", beta, "--out", str(out)]) == 0
+        _, recs = read_csv(str(out))
+        sections = {r["section"] for r in recs}
+        assert {"segment", "triple", "curve", "curve_mirror"} <= sections
+        for rec in recs:
+            for value in rec.values():
+                if isinstance(value, float):
+                    assert math.isfinite(value), rec
+
     def test_beyond_four_phase_sections(self, tmp_path):
         out = tmp_path / "maxwell.csv"
         assert run(["maxwell", "--beta", "3.0", "--segment-samples", "8",

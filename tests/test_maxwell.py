@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 import potts_landscape as pl
-from potts_landscape.maxwell import (axis_minima, axis_slice_crossings,
-                                     ivp_tangent, segment_upper_endpoint_y,
-                                     track_segment_pair, _AxisTracker)
+from potts_landscape.maxwell import (axis_minima, ivp_tangent,
+                                     segment_upper_endpoint_y,
+                                     track_segment_pair)
 from potts_landscape.model import (batch_from_xy, batch_hessian, batch_uv,
                                    batch_xy, hessian_eigenvalues)
 from potts_landscape.stationary import (PointKind, barycentric_grid,
                                         stationary_points_from_seeds)
+
+from conftest import assert_single_axis_tie
 
 AUNIFORM = pl.AprioriMeasure.uniform()
 EW = 4.0 * math.log(2.0)
@@ -58,27 +60,53 @@ class TestSymmetricSegment:
 
 class TestAxisStructure:
     def test_crossings_bound_three_minima_window(self):
-        crossings = axis_slice_crossings(2.6)
-        assert len(crossings) == 2
-        lo, hi = crossings
-        inside = 0.5 * (lo + hi)
-        sym, asym = axis_minima(2.6, inside)
+        # two crossings on the axis: the symmetric minimum exists above the
+        # lower one, the mirror pair below the upper one, and the window of
+        # three minima between them holds the triple point
+        beta = 2.6
+        y_star = pl.to_xy(pl.triple_point(beta).alpha).y
+
+        def has_sym(y):
+            return len(axis_minima(beta, y)[0]) >= 1
+
+        def has_pair(y):
+            return len(axis_minima(beta, y)[1]) == 1
+
+        def edge(has, a, b):
+            assert has(a) != has(b)
+            for _ in range(40):
+                mid = 0.5 * (a + b)
+                if has(mid) == has(a):
+                    a = mid
+                else:
+                    b = mid
+            return 0.5 * (a + b)
+
+        lo = edge(has_sym, -0.5 + 1e-6, y_star)
+        hi = edge(has_pair, y_star, -1e-6)
+        assert lo < y_star < hi
+        sym, asym = axis_minima(beta, 0.5 * (lo + hi))
         assert len(sym) >= 1 and len(asym) == 1
-        sym_b, asym_b = axis_minima(2.6, lo - 0.002)
-        sym_a, asym_a = axis_minima(2.6, hi + 0.002)
-        assert (len(sym_b) == 0) or (len(asym_a) == 0)
+        width = hi - lo
+        ys = np.concatenate([np.linspace(-0.5, 0.0, 41)[1:-1],
+                             lo + width * np.array([-1.0, -0.1, 0.1]),
+                             hi + width * np.array([-0.1, 0.1, 1.0])])
+        for y in ys:
+            sym, asym = axis_minima(beta, float(y))
+            assert len(asym) <= 1, y
+            assert (len(sym) >= 1) == (y > lo), y
+            assert (len(asym) == 1) == (y < hi), y
 
     def test_depth_gap_has_single_sign_change(self):
-        # scan the three-minima window: monotone gap, exactly one crossing
-        lo, hi = axis_slice_crossings(2.6)
-        width = hi - lo
-        ys = np.linspace(lo + 0.02 * width, hi - 0.02 * width, 41)
-        sym, asym = axis_minima(2.6, float(ys[0]))
-        tracker = _AxisTracker(2.6, float(ys[0]), sym, asym[0], pl.DEFAULT_TOL)
-        gaps = np.array([tracker.gap(float(y)) for y in ys])
-        signs = np.sign(gaps)
-        changes = int(np.sum(signs[:-1] != signs[1:]))
-        assert changes == 1
+        # both kinds of minimum coexist on one interval of the axis, and
+        # the depth gap changes sign once on it, at the triple point
+        tp = pl.triple_point(2.6)
+        assert_single_axis_tie(2.6, pl.to_xy(tp.alpha).y)
+
+    @pytest.mark.parametrize("beta", [2.7, 2.77])
+    def test_single_sign_change_towards_four_phase(self, beta):
+        tp = pl.triple_point(beta)
+        assert_single_axis_tie(beta, pl.to_xy(tp.alpha).y)
 
 
 class TestAxisMinimaOracle:
@@ -155,6 +183,38 @@ class TestTriplePoint:
         d_near = np.abs(near.alpha.array - 1.0 / 3.0).max()
         assert d_near < d_far
         assert d_near < 5e-3
+
+
+# Temperatures 18/7 + k 5e-4 where a triple point found by bisection
+# between slice crossings, or a curve opened with four steps of the default
+# length, fails; and three more next to 4 log 2.
+_HARD_BETAS = ([18.0 / 7.0 + k * 5e-4
+                for k in (1, 2, 3, 228, 379, *range(382, 403))]
+               + [2.735, EW - 1e-3, EW - 1e-4, EW - 1e-5])
+
+
+def _sweep_betas():
+    rng = np.random.default_rng(606)
+    edges = np.linspace(18.0 / 7.0, EW, 21)
+    return _HARD_BETAS + list(rng.uniform(edges[:-1], edges[1:]))
+
+
+class TestTriplePointSweep:
+    def test_triple_point_and_curve_across_the_window(self):
+        for beta in _sweep_betas():
+            tp = pl.triple_point(beta)
+            cens = pl.census(pl.ModelParams(beta, tp.alpha))
+            glob = cens.global_minimizers
+            assert len(glob) == 3, beta
+            for g in glob:
+                assert abs(g.value - tp.depth) <= 1e-8, beta
+            found = np.stack([g.nu.array for g in glob])
+            for m in tp.minimizers:
+                assert np.abs(found - m.array).max(axis=1).min() <= 1e-6
+            curve = pl.coexistence_curve(beta, origin=tp)
+            assert curve.points, beta
+            assert all(np.isfinite(p.alpha.array).all()
+                       and np.isfinite(p.depth) for p in curve.points)
 
 
 @pytest.fixture(scope="module")
