@@ -13,10 +13,11 @@ whose two roots lie on the W0 and W-1 branches of Lambert W (Corless et
 al. 1996, Adv. Comput. Math. 5:329-359), below and above ``x = 1/beta``.
 The stationary points are the roots of ``F_b(t) = t + x_i + x_j - 1`` over
 the four branch pairs b.  They are bracketed by a scan of F whose samples
-include the zeros of F'' and F', refined by safeguarded Newton, polished by
-a few Newton steps on the local gradient and classified through the Hessian
-spectrum.  ``census`` wraps this into the minima count that settles which
-cell of the phase diagram a parameter point belongs to.
+include the zeros of F'' and F', refined by Halley steps from the roots of
+cubic Hermite interpolants, polished by a few Newton steps on the local
+gradient and classified through the Hessian spectrum.  ``census`` wraps
+this into the minima count that settles which cell of the phase diagram a
+parameter point belongs to.
 
 Damped Newton from a barycentric seed lattice (``newton_stationary``,
 ``stationary_points_from_seeds``) is kept only as the tests' independent
@@ -29,6 +30,7 @@ the census roots.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,19 +195,18 @@ def _dedupe_xy(points: np.ndarray, radius: float) -> np.ndarray:
     return np.asarray(reps)
 
 
+def _kind(lo: float, hi: float, tol: ToleranceConfig) -> PointKind:
+    if min(abs(lo), abs(hi)) <= tol.degenerate_eig:
+        return PointKind.DEGENERATE
+    if lo > 0.0:
+        return PointKind.MINIMUM
+    return PointKind.MAXIMUM if hi < 0.0 else PointKind.SADDLE
+
+
 def classify(beta: float, nu, tol: ToleranceConfig = DEFAULT_TOL):
     """(eig_lo, eig_hi, PointKind) for one simplex point."""
-    eigs = hessian_eigenvalues(beta, np.asarray(nu, dtype=float))
-    lo, hi = float(eigs[0]), float(eigs[1])
-    if min(abs(lo), abs(hi)) <= tol.degenerate_eig:
-        kind = PointKind.DEGENERATE
-    elif lo > 0.0:
-        kind = PointKind.MINIMUM
-    elif hi < 0.0:
-        kind = PointKind.MAXIMUM
-    else:
-        kind = PointKind.SADDLE
-    return lo, hi, kind
+    lo, hi = map(float, hessian_eigenvalues(beta, np.asarray(nu, dtype=float)))
+    return lo, hi, _kind(lo, hi, tol)
 
 
 def _classified(beta: float, alpha: np.ndarray, roots: np.ndarray,
@@ -217,13 +218,11 @@ def _classified(beta: float, alpha: np.ndarray, roots: np.ndarray,
         raise NumericalError(
             "no stationary point converged; a smooth landscape with "
             "boundary divergence has at least one minimum")
-    out = []
-    for row in roots:
-        lo, hi, kind = classify(beta, row, tol)
-        value = float(batch_free_energy(beta, alpha, row))
-        out.append(StationaryPoint(SpinDistribution.from_array(row),
-                                   (lo, hi), kind, value))
-    return out
+    eigs = hessian_eigenvalues(beta, roots).tolist()
+    values = batch_free_energy(beta, alpha, roots).tolist()
+    return [StationaryPoint(SpinDistribution.from_array(row), (lo, hi),
+                            _kind(lo, hi, tol), value)
+            for row, (lo, hi), value in zip(roots, eigs, values)]
 
 
 def stationary_points_from_seeds(beta: float, alpha: np.ndarray,
@@ -252,17 +251,19 @@ def _lambert_log(d, upper):
 
     Near the branch point y = 1 the series in p = +-sqrt(2 d) is used as
     it is, since Halley steps there only keep log y to absolute precision;
-    elsewhere three Halley steps on ``expm1(eta) - eta = d`` refine it, or
-    the asymptotic forms for d >= 1.
+    elsewhere two Halley steps on ``expm1(eta) - eta = d`` refine it, or
+    for d >= 1 its asymptotic series; the error is below 1e-14 |log y|.
     """
     p = np.sqrt(2.0 * d) * np.where(upper, 1.0, -1.0)
     u = p * (1.0 + p * (1 / 3 + p * (1 / 36 + p * (-1 / 270 + p * (
         1 / 4320 + p / 17010)))))
     big = 1.0 + d
     series = np.log1p(u)
-    eta = np.where(d < 1.0, series, np.where(upper, np.log(big + np.log(big)),
-                                             np.exp(-big) - big))
-    for _ in range(3):
+    log_big, small = np.log(big), np.exp(-big)
+    eta = np.where(d < 1.0, series, np.where(
+        upper, np.log(big + log_big + log_big / big),
+        small * (1.0 + small * (1.0 + 1.5 * small)) - big))
+    for _ in range(2):
         em1 = np.expm1(eta)
         h = em1 - eta - d
         den = 2.0 * em1 * em1 - h * (em1 + 1.0)
@@ -284,74 +285,87 @@ def _branch_gap(s):
     return np.where(np.abs(w) < 0.1, series, w - np.log(s))
 
 
-def _branch_values(beta: float, log_r, t, upper) -> np.ndarray:
+def _branch_values(beta: float, log_r, t, upper, orders: int = 4):
     """Other components x on the given branches at ``t = nu_k`` and their
-    first three t-derivatives, stacked on a leading axis of length 4; the
+    first ``orders - 1`` t-derivatives, stacked on a leading axis; the
     arguments broadcast.  ``log_r`` is log(alpha_i / alpha_k) <= 0.  No
     clamping: where x > 1, F > 0 anyway."""
     s = beta * t
     eta = _lambert_log(np.maximum(_branch_gap(s) - log_r, 0.0), upper)
-    x = np.exp(eta) / beta
+    out = np.empty((orders,) + eta.shape)
+    x = out[0] = np.exp(eta) / beta
     gap = -np.expm1(eta)  # 1 - beta x: zero only at a tie with t = 1/beta
     # differentiate log x - beta x = log t - beta t + const
-    x1 = x * (1.0 - s) / (t * gap)
-    x2 = (x1 * x1 / x - x / (t * t)) / gap
-    x3 = (2.0 * x1 * x2 / x - x1 ** 3 / (x * x) - x1 / (t * t)
-          + 2.0 * x / t ** 3 + beta * x1 * x2) / gap
-    out = np.where(gap != 0.0, np.stack([x, x1, x2, x3]), 0.0)
-    out[0] = x
-    # at a tie one root is t itself: take it exactly, so that points on a
-    # symmetry axis come out exactly symmetric
-    own = (log_r == 0.0) & (np.asarray(upper) == (s > 1.0))
-    return np.where(own, np.stack(np.broadcast_arrays(t, 1.0, 0.0, 0.0)),
-                    out)
-
-
-def _f_derivatives(t, xs) -> np.ndarray:
-    """F = t + x_i + x_j - 1 and its first three t-derivatives from the
-    stacked branch values (trailing axis: the two components)."""
-    out = xs.sum(axis=-1)
-    out[0] += t - 1.0
-    out[1] += 1.0
+    if orders > 1:
+        x1 = out[1] = x * (1.0 - s) / (t * gap)
+    if orders > 2:
+        x2 = out[2] = (x1 * x1 / x - x / (t * t)) / gap
+    if orders > 3:
+        out[3] = (2.0 * x1 * x2 / x - x1 ** 3 / (x * x) - x1 / (t * t)
+                  + 2.0 * x / t ** 3 + beta * x1 * x2) / gap
+    if np.any(log_r == 0.0):
+        # at a tie one root is t itself: take it exactly (exact symmetry)
+        own = (log_r == 0.0) & (np.asarray(upper) == (s > 1.0))
+        out[1:] = np.where(own | (gap == 0.0), 0.0, out[1:])
+        out[0] = np.where(own, t, x)
+        out[1:2] += own  # x' = 1 on the own root
     return out
+
+
+@functools.cache
+def _sample_grid():
+    """The beta-independent samples, and offsets around 1/beta."""
+    ends = np.geomspace(1e-14, 1e-2, 25)
+    grid = np.concatenate([np.linspace(0.0, 1.0, 201)[1:-1], ends, 1.0 - ends])
+    return np.unique(grid), np.geomspace(1e-12, 0.5, 25)
 
 
 def _samples(beta: float) -> np.ndarray:
     """Values of ``t`` scanned for sign changes: a uniform grid refined
     geometrically towards both ends of (0, 1) and towards ``1/beta``, where
     the branches meet, from both sides, plus ``1/beta`` itself."""
-    ends = np.geomspace(1e-14, 1e-2, 25)
-    pieces = [np.linspace(0.0, 1.0, 201)[1:-1], ends, 1.0 - ends]
+    t, near = _sample_grid()
     centre = 1.0 / beta
     if centre < 1.0:
-        near = np.geomspace(1e-12, 0.5, 25)
-        pieces += [[centre], centre * (1.0 - near), centre * (1.0 + near)]
-    t = np.unique(np.concatenate(pieces))
-    return t[(t > 0.0) & (t < 1.0)]
+        t = np.unique(np.concatenate([t, [centre], centre * (1.0 - near),
+                                      centre * (1.0 + near)]))
+    return t[t < 1.0]
 
 
-def _bracketed_newton(fun, lo, hi, f_lo):
-    """Roots of ``fun`` (returning value and slope) in the brackets
-    [lo, hi], where the value has the sign of ``f_lo`` at lo and the
-    opposite one at hi, all brackets at once.  Newton steps are taken while
-    they stay inside the shrinking bracket and at least halve the previous
-    step, bisection otherwise (``rtsafe`` of Numerical Recipes); a bracket
-    is done once its Newton step or its width is at rounding level."""
+def _bracketed_halley(fun, lo, hi, end_lo, end_hi):
+    """Roots of ``fun`` (value, slope, maybe second derivative) in all the
+    brackets [lo, hi] at once, from value (signs opposite) and slope at the
+    ends.  Start at the root of the ends' cubic Hermite interpolant (the
+    midpoint if Newton on the cubic leaves the bracket); take Halley (else
+    Newton) steps that stay inside the shrinking bracket and at least halve
+    the last one, else bisect (``rtsafe``).  Done when the Newton step or
+    the width is at rounding level, or when a step inside the bracket fails
+    the halving test within 1e3 rounding units: that is rounding noise."""
+    if not len(lo):
+        return lo
     eps = 4.0 * np.finfo(float).eps
-    x = 0.5 * (lo + hi)
-    step = hi - lo
+    (f0, d0), (f1, d1), h = end_lo, end_hi, hi - lo
+    c2 = 3.0 * (f1 - f0) - h * (2.0 * d0 + d1)
+    c3 = 2.0 * (f0 - f1) + h * (d0 + d1)
+    u = f0 / (f0 - f1)
+    for _ in range(2):
+        u = u - (((c3 * u + c2) * u + h * d0) * u + f0) / (
+            (3.0 * c3 * u + 2.0 * c2) * u + h * d0)
+    x = np.where((u > 0.0) & (u < 1.0), lo + u * h, 0.5 * (lo + hi))
+    step = h
     for _ in range(100):
-        f, df = fun(x)
-        left = np.sign(f) == np.sign(f_lo)
+        f, df, *d2f = fun(x)
+        left = np.sign(f) == np.sign(f0)
         lo = np.where(left, x, lo)
         hi = np.where(left, hi, x)
-        done = (np.abs(f) <= eps * np.abs(x * df)) | (hi - lo <= eps * x)
+        dx = f / df / (1.0 - 0.5 * f * d2f[0] / (df * df) if d2f else 1.0)
+        inside = (lo <= x - dx) & (x - dx <= hi)
+        ok = inside & (2.0 * np.abs(dx) <= np.abs(step))
+        done = ((np.abs(f) <= eps * np.abs(x * df)) | (hi - lo <= eps * x)
+                | (inside & ~ok & (np.abs(dx) <= 1e3 * eps * x)))
         if np.all(done):
             break
-        newton = x - f / df
-        ok = (lo <= newton) & (newton <= hi) & (2.0 * np.abs(f)
-                                                <= np.abs(step * df))
-        new = np.where(done, x, np.where(ok, newton, 0.5 * (lo + hi)))
+        new = np.where(done, x, np.where(ok, x - dx, 0.5 * (lo + hi)))
         step = np.abs(new - x)
         x = new
     return x
@@ -375,37 +389,48 @@ def _reduced_roots(beta: float, alpha: np.ndarray,
     others = [i for i in range(3) if i != k]
     log_r = np.log(alpha[others]) - np.log(alpha[k])
 
-    def scan(t):
-        """F, F' and F'' at samples t for all four pairs, (3, n, 4)."""
+    def scan(t, orders=4):
+        """F = t + x_i + x_j - 1 and its first ``orders - 1`` derivatives at
+        samples t on all four pairs, (orders, n, 4)."""
         xs = _branch_values(beta, log_r[:, None], t[:, None, None],
-                            np.array([False, True]))
-        return _f_derivatives(t[:, None], xs[:3, :, np.arange(2), _PAIRS])
+                            np.array([False, True]), orders)
+        out = xs[:, :, np.arange(2), _PAIRS].sum(axis=-1)
+        out[0] += t[:, None] - 1.0
+        out[1:2] += 1.0
+        return out
 
-    def along(pair, order):
-        """Derivatives ``order`` and ``order + 1`` of F on the given pairs."""
-        def fun(t):
-            xs = _branch_values(beta, log_r, t[:, None], _PAIRS[pair] == 1)
-            return _f_derivatives(t, xs)[order:order + 2]
-        return fun
+    def refine(order, j, b):
+        """Zeros of derivative ``order`` of F in (t[j], t[j + 1]) on pairs
+        b, and the scan at them (the last evaluation: all brackets end on
+        an evaluated point)."""
+        last = np.empty((4, 0, 4))
+
+        def fun(x):
+            nonlocal last
+            last = scan(x, min(order + 3, 4))
+            return last[order:, np.arange(len(x)), b]
+        return _bracketed_halley(fun, t[j], t[j + 1], f[order:order + 2, j, b],
+                                 f[order:order + 2, j + 1, b]), last
 
     t = _samples(beta)
     f = scan(t)
     for order in (2, 1):
-        k_new, b_new = np.nonzero(f[order, :-1] * f[order, 1:] < 0.0)
-        t_new = _bracketed_newton(along(b_new, order), t[k_new],
-                                  t[k_new + 1], f[order, k_new, b_new])
+        # at a tie F', F'' jump where the branches meet (t = 1/beta): no zero
+        jump = (t == 1.0 / beta) & np.any(log_r == 0.0)
+        k_new, b_new = np.nonzero((f[order, :-1] * f[order, 1:] < 0.0)
+                                  & ~(jump[:-1] | jump[1:])[:, None])
+        t_new, f_new = refine(order, k_new, b_new)
         n = len(t)
         t = np.concatenate([t, t_new])
-        f = np.concatenate([f, scan(t_new)], axis=1)
+        f = np.concatenate([f, f_new], axis=1)
         rank = np.argsort(t, kind="stable")
         t, f = t[rank], f[:, rank]
     # after the last round: where the extrema of F sit among the samples
     e_ext, b_ext = np.argsort(rank)[n:], b_new
-    f = f[0]
 
-    k_root, b_root = np.nonzero(f[:-1] * f[1:] < 0.0)
-    t_root = _bracketed_newton(along(b_root, 0), t[k_root], t[k_root + 1],
-                               f[k_root, b_root])
+    k_root, b_root = np.nonzero(f[0, :-1] * f[0, 1:] < 0.0)
+    t_root = refine(0, k_root, b_root)[0]
+    f = f[0]
     k_zero, b_zero = np.nonzero(f == 0.0)
     # an extremum within _TANGENT_TOL of zero with no sign change on
     # either side touches zero: a double root at a fold
@@ -416,7 +441,7 @@ def _reduced_roots(beta: float, alpha: np.ndarray,
     t_all = np.concatenate([t_root, t[k_zero], t[e_ext[touch]]])
     b_all = np.concatenate([b_root, b_zero, b_ext[touch]])
 
-    x = _branch_values(beta, log_r, t_all[:, None], _PAIRS[b_all] == 1)[0]
+    x = _branch_values(beta, log_r, t_all[:, None], _PAIRS[b_all] == 1, 1)[0]
     nu = np.empty((len(t_all), 3))
     nu[:, k] = t_all
     nu[:, others] = x

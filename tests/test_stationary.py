@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import potts_landscape as pl
+from potts_landscape import stationary
 from potts_landscape.maxwell import segment_upper_endpoint_y
 from potts_landscape.model import (batch_catastrophe, batch_degeneracy_lhs,
                                    batch_gradient)
@@ -275,6 +276,145 @@ class TestCompleteness:
             a2 = float(rng.uniform(0.05, 0.45))
             a = np.array([a2 * (1.0 + eps), a2, 1.0 - a2 * (2.0 + eps)])
             self._agrees_with_lattice(beta, a)
+
+
+def _midpoint_newton(fun, lo, hi, end_lo, end_hi):
+    """The census's former bracket refinement, kept as an oracle: Newton
+    steps on the first two rows of ``fun`` from each bracket's midpoint,
+    taken while they stay inside the shrinking bracket and at least halve
+    the previous step, bisection otherwise (``rtsafe``)."""
+    eps = 4.0 * np.finfo(float).eps
+    x, step = 0.5 * (lo + hi), hi - lo
+    for _ in range(100):
+        f, df = fun(x)[:2]
+        left = np.sign(f) == np.sign(end_lo[0])
+        lo, hi = np.where(left, x, lo), np.where(left, hi, x)
+        done = (np.abs(f) <= eps * np.abs(x * df)) | (hi - lo <= eps * x)
+        if np.all(done):
+            break
+        newton = x - f / df
+        ok = ((lo <= newton) & (newton <= hi)
+              & (2.0 * np.abs(f) <= np.abs(step * df)))
+        new = np.where(done, x, np.where(ok, newton, 0.5 * (lo + hi)))
+        step, x = np.abs(new - x), new
+    return x
+
+
+def _census_or_error(beta, a):
+    try:
+        return pl.census(
+            pl.ModelParams(beta, pl.AprioriMeasure.from_array(a)))
+    except pl.NumericalError as exc:
+        return str(exc)
+
+
+class TestRefinement:
+    """Work and agreement of the Hermite-started Halley refinement."""
+
+    @staticmethod
+    def _sweep(rng):
+        """100 fields drawn like the benchmark's census sweep (beta in
+        [2, 4], field margin 0.03), near ties, where the iterates stall at
+        rounding noise next to nearly meeting branches, then the zero-field
+        pins."""
+        cases = [(float(rng.uniform(2.0, 4.0)), a)
+                 for a in random_interior(rng, 100, margin=0.03)]
+        cases += [(beta, np.array([a2 + a2 * 1e-6, a2, 1.0 - 2.0 * a2
+                                   - a2 * 1e-6]))
+                  for beta in (1.5, 3.0) for a2 in (0.3, 0.35, 0.4, 0.45)]
+        return cases + [(beta, AUNIFORM.array) for beta in
+                        (1.5, pl.BETA_ELLIS_WANG, pl.BETA_UMBILIC)]
+
+    def test_work_per_census(self, rng, monkeypatch):
+        calls, rounds = [0], []
+        branch_values = stationary._branch_values
+        refine = stationary._bracketed_halley
+
+        def counted(*args):
+            calls[0] += 1
+            return branch_values(*args)
+
+        def round_counted(*args):
+            before = calls[0]
+            out = refine(*args)
+            rounds.append(calls[0] - before)
+            return out
+
+        monkeypatch.setattr(stationary, "_branch_values", counted)
+        monkeypatch.setattr(stationary, "_bracketed_halley", round_counted)
+        cases = self._sweep(rng)
+        for beta, a in cases:
+            pl.census(pl.ModelParams(beta, pl.AprioriMeasure.from_array(a)))
+        assert calls[0] / len(cases) <= 11.0
+        assert max(rounds) <= 12
+        # rounds run F'', F', F: at zero field the F'' and F' brackets next
+        # to the branch point t = 1/beta are jumps, not zeros, and are skipped
+        zero_field = rounds[-3 * 3:]
+        assert max(zero_field[0::3] + zero_field[1::3]) <= 3, zero_field
+
+    def test_agrees_with_midpoint_newton(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        special = (pl.BETA_BUTTERFLY, pl.BETA_ELLIS_WANG, pl.BETA_UMBILIC,
+                   2.745)
+        cases = []
+        for i in range(1000):
+            beta = (special[i % 4] if i % 3 == 0
+                    else float(rng.uniform(0.5, 6.0)))
+            if i % 4 == 0:
+                a = random_interior(rng, 1, margin=0.03)[0]
+            elif i % 4 == 1:  # exact and near ties, in every position
+                a2 = float(rng.uniform(0.05, 0.45))
+                eps = (0.0, 1e-9, 1e-6)[i % 3]
+                a = rng.permutation([a2 * (1.0 + eps), a2,
+                                     1.0 - a2 * (2.0 + eps)])
+            elif i % 4 == 2:  # next to an edge
+                a = rng.dirichlet((1.0, 1.0, 1.0))
+                a[i % 3] = 10.0 ** rng.uniform(-6.0, -2.0)
+                a /= a.sum()
+            elif i % 20 == 3:
+                a = AUNIFORM.array
+            else:
+                a = random_interior(rng, 1, margin=0.005)[0]
+            cases.append((beta, a))
+        new = [_census_or_error(beta, a) for beta, a in cases]
+        monkeypatch.setattr(stationary, "_bracketed_halley", _midpoint_newton)
+        for (beta, a), got in zip(cases, new):
+            want = _census_or_error(beta, a)
+            if isinstance(want, str) or isinstance(got, str):
+                assert got == want, (beta, a.tolist())
+                continue
+            case = (beta, a.tolist())
+            assert [p.kind for p in got.points] == [
+                p.kind for p in want.points], case
+            assert got.n_local_minima == want.n_local_minima, case
+            for mine, theirs in ((got.points, want.points),
+                                 (got.global_minimizers,
+                                  want.global_minimizers)):
+                assert len(mine) == len(theirs), case
+                for p, q in zip(mine, theirs):
+                    assert np.abs(p.nu.array - q.nu.array).max() <= 1e-12, case
+
+    def test_lambert_log_accuracy(self):
+        """Against a Newton solve in extended precision, with
+        ``expm1(eta) - eta`` summed as a series where it cancels."""
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("no extended precision")
+        d = np.concatenate([np.geomspace(1e-20, 1e-3, 300),
+                            np.linspace(1e-3, 3.0, 3000),
+                            np.geomspace(3.0, 1e4, 500)])
+        for upper in (False, True):
+            with np.errstate(invalid="ignore"):  # unused series where d > 1
+                eta = stationary._lambert_log(d, np.full(d.shape, upper))
+            ref = eta.astype(np.longdouble)
+            for _ in range(4):
+                small = np.where(np.abs(ref) < 0.5, ref, 0.0)
+                term, series = small * small / 2, small * small / 2
+                for k in range(3, 26):
+                    term = term * small / k
+                    series = series + term
+                g = np.where(np.abs(ref) < 0.5, series, np.expm1(ref) - ref)
+                ref = ref - (g - d) / np.expm1(ref)
+            assert np.all(np.abs(eta - ref) <= 1e-14 * np.abs(ref)), upper
 
 
 class TestOutsideInterior:
