@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import math
 import sys
 
@@ -33,10 +34,12 @@ _POSITIVE_FLAGS = ("beta", "beta_max", "extent", "step", "tol")
 
 # Integer size flags are bounded so that no input asks for more memory than
 # this, at 1 KiB per output record and 64 bytes per labelled pixel.  A
-# subcommand holds its whole output before writing it: slice, surface and
-# potential as numpy columns plus the text of each distinct value (500-650
-# bytes a record, all values distinct), the others as record dicts (a
-# maxwell record takes 2-4 KiB while it is written).
+# subcommand holds its whole output before writing it: slice, surface,
+# potential and maxwell as numpy columns, and the writers hold the text of
+# a value only while its rows are written, or for the whole write when it
+# repeats (with all values distinct, 150-250 bytes a record for the first
+# three and 400-500 for maxwell, its 24 float columns); census and
+# critical as a few record dicts.
 MEMORY_BUDGET = 1 << 30
 _RECORD_BYTES = 1 << 10
 _PIXEL_BYTES = 64
@@ -304,21 +307,54 @@ def cmd_critical(args) -> int:
 # maxwell
 # ---------------------------------------------------------------------------
 
-def _maxwell_record(beta, section, index, alpha_arr, depth, minimizers):
-    u, v = batch_uv(alpha_arr)
-    x, y = batch_xy(alpha_arr)
-    rec = {
-        "beta": beta, "section": section, "index": index,
-        "alpha1": float(alpha_arr[0]), "alpha2": float(alpha_arr[1]),
-        "alpha3": float(alpha_arr[2]),
-        "u": float(u), "v": float(v), "x": float(x), "y": float(y),
-        "depth": depth, "n_minimizers": len(minimizers),
+def _maxwell_section(beta, section, alpha, depth, minimizers):
+    """Columns of one section's m records: fields ``alpha`` (m, 3), depths
+    (m,) and ``minimizers`` (m, k, 3), the k equal-depth minimizers of
+    each record."""
+    alpha = np.asarray(alpha, dtype=float).reshape(-1, 3)
+    m = len(alpha)
+    k = len(minimizers[0]) if m else 0
+    minimizers = np.asarray(minimizers, dtype=float).reshape(m, k, 3)
+    uv, xy = batch_uv(alpha), batch_xy(alpha)
+    columns = {
+        "beta": np.full(m, beta), "section": np.full(m, section),
+        "index": np.arange(m),
+        "alpha1": alpha[:, 0], "alpha2": alpha[:, 1], "alpha3": alpha[:, 2],
+        "u": uv[:, 0], "v": uv[:, 1], "x": xy[:, 0], "y": xy[:, 1],
+        "depth": np.asarray(depth, dtype=float).reshape(m),
+        "n_minimizers": np.full(m, k),
     }
-    for k in range(4):
+    for j in range(k):
         for c in range(3):
-            rec[f"m{k + 1}_nu{c + 1}"] = (float(minimizers[k][c])
-                                          if k < len(minimizers) else None)
-    return rec
+            columns[f"m{j + 1}_nu{c + 1}"] = minimizers[:, j, c]
+    return columns
+
+
+def _points_section(beta, section, points, swap=False):
+    """Columns of a section of ``CoexistencePoint``s; ``swap`` mirrors
+    fields and minimizers in their first two components."""
+    alpha = np.array([p.alpha.array for p in points]).reshape(-1, 3)
+    minimizers = [[m.array for m in p.minimizers] for p in points]
+    if swap:
+        alpha, minimizers = _swap12(alpha), _swap12(minimizers)
+    return _maxwell_section(beta, section, alpha, [p.depth for p in points],
+                            minimizers)
+
+
+def _maxwell_table(sections):
+    """One ``Table`` of the sections' records in order.  A minimizer slot
+    that some section leaves unfilled is a list with ``None`` there."""
+    sections = [sec for sec in sections if len(sec["index"])]
+    table = {}
+    for name, _ in export.SCHEMAS["maxwell_point"]:
+        parts = [sec.get(name) for sec in sections]
+        if all(part is not None for part in parts):
+            table[name] = np.concatenate(parts) if parts else np.empty(0)
+        else:
+            table[name] = [value for sec, part in zip(sections, parts)
+                           for value in (part.tolist() if part is not None
+                                         else [None] * len(sec["index"]))]
+    return export.Table(table)
 
 
 def _swap12(arr):
@@ -326,61 +362,52 @@ def _swap12(arr):
 
 
 def _maxwell_data(beta, step, segment_samples, tol):
-    """All coexistence constructs at one inverse temperature."""
-    records = []
-    curves = []  # alpha arrays of the coexistence curve and its mirror
+    """All coexistence constructs at one inverse temperature: the records
+    as a ``Table`` and the triple point (None outside (18/7, 4 log 2))."""
+    sections = []
     triple = None
     if beta <= 2.0:
-        return records, curves, triple
+        return _maxwell_table(sections), triple
 
-    tp = None
     if BETA_BUTTERFLY < beta < BETA_ELLIS_WANG:
-        tp = triple_point(beta, tol=tol)
-        segment = _segment_to_triple(tp)
+        triple = triple_point(beta, tol=tol)
+        segment = _segment_to_triple(triple)
     else:
         segment = symmetric_segment(beta, tol=tol)
 
-    for k, pt in enumerate(track_segment_pair(segment, n=segment_samples,
-                                              tol=tol)):
-        records.append(_maxwell_record(
-            beta, "segment", k, pt.alpha.array, pt.depth,
-            [m.array for m in pt.minimizers]))
+    sections.append(_points_section(
+        beta, "segment",
+        track_segment_pair(segment, n=segment_samples, tol=tol)))
 
-    if tp is not None:
-        triple = tp
-        records.append(_maxwell_record(
-            beta, "triple", 0, tp.alpha.array, tp.depth,
-            [m.array for m in tp.minimizers]))
-        curve = coexistence_curve(beta, step=step, tol=tol, origin=tp)
-        arm = [(p.alpha.array, p.depth, [m.array for m in p.minimizers])
-               for p in curve.points]
-        mirror = [(_swap12(a), d, [_swap12(m) for m in ms])
-                  for a, d, ms in arm]
-        for section, data in (("curve", arm), ("curve_mirror", mirror)):
-            for k, (a, d, ms) in enumerate(data):
-                records.append(_maxwell_record(beta, section, k, a, d, ms))
-            curves.append(np.array([a for a, _, _ in data]))
+    if triple is not None:
+        sections.append(_points_section(beta, "triple", [triple]))
+        curve = coexistence_curve(beta, step=step, tol=tol, origin=triple)
+        sections.append(_points_section(beta, "curve", curve.points))
+        sections.append(_points_section(beta, "curve_mirror", curve.points,
+                                        swap=True))
 
     if beta >= BETA_ELLIS_WANG:
-        bew = beyond_ellis_wang_segment(beta, tol=tol)
-        cens = bew.uniform_census
-        records.append(_maxwell_record(
-            beta, "uniform", 0, AprioriMeasure.uniform().array,
-            cens.global_minimizers[0].value if cens.global_minimizers else 0.0,
-            [p.nu.array for p in cens.global_minimizers]))
-    return records, curves, triple
+        glob = beyond_ellis_wang_segment(beta, tol=tol
+                                         ).uniform_census.global_minimizers
+        sections.append(_maxwell_section(
+            beta, "uniform", AprioriMeasure.uniform().array,
+            [glob[0].value if glob else 0.0],
+            [[p.nu.array for p in glob]]))
+    return _maxwell_table(sections), triple
 
 
 def cmd_maxwell(args) -> int:
     beta = args.beta
     tol = _tolerances(args)
-    records, curves, triple = _maxwell_data(beta, args.step,
-                                            args.segment_samples, tol)
+    table, triple = _maxwell_data(beta, args.step, args.segment_samples, tol)
     if args.format == "svg":
-        segment = [[rec["alpha1"], rec["alpha2"], rec["alpha3"]]
-                   for rec in records if rec["section"] == "segment"]
-        if segment:
-            curves = [segment] + curves
+        # the segment, then the coexistence curve and its mirror
+        curves = []
+        for section in ("segment", "curve", "curve_mirror"):
+            rows = table.columns["section"] == section
+            if rows.any():
+                curves.append(np.stack([table.columns[f"alpha{c}"][rows]
+                                        for c in (1, 2, 3)], axis=-1))
         maxwell_lines = [batch_pq(a) for a in curves]
         markers = []
         if triple is not None:
@@ -396,7 +423,7 @@ def cmd_maxwell(args) -> int:
             fh.write(doc)
         return 0
     note = "no coexistence for beta <= 2" if beta <= 2.0 else None
-    _write_records(args, "maxwell_point", records, note)
+    _write_records(args, "maxwell_point", table, note)
     return 0
 
 
@@ -444,7 +471,10 @@ def cmd_potential(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it;
+    ``main`` runs the module's ``cmd_<command>`` for the parsed command."""
     parser = argparse.ArgumentParser(
         prog="potts-landscape", exit_on_error=False,
         description="Phase diagrams of the three-state mean-field Potts "
@@ -475,13 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=_RESOLUTION, default=512,
                    help="raster resolution for cell detection")
     common(p)
-    p.set_defaults(func=cmd_slice)
 
     p = command("surface", "parametric bifurcation surface")
     p.add_argument("--beta-max", type=float, default=6.0)
     p.add_argument("--grid", type=_GRID, default=64)
     common(p, formats=("csv", "json", "obj"))
-    p.set_defaults(func=cmd_surface)
 
     p = command("census", "stationary points at one parameter")
     p.add_argument("--beta", type=float, required=True)
@@ -489,11 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a-priori measure a1,a2,a3")
     p.add_argument("--uv", default=None, help="field in log-ratio coords u,v")
     common(p, formats=("csv", "json"))
-    p.set_defaults(func=cmd_census)
 
     p = command("critical", "the five critical temperatures")
     common(p, formats=("csv", "json"))
-    p.set_defaults(func=cmd_critical)
 
     p = command("maxwell", "coexistence segments, triple points and curves")
     p.add_argument("--beta", type=float, required=True)
@@ -502,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segment-samples", type=_SEGMENT_SAMPLES, default=40)
     p.add_argument("--extent", type=float, default=6.0)
     common(p)
-    p.set_defaults(func=cmd_maxwell)
 
     p = command("potential", "free-energy grid over the simplex")
     p.add_argument("--beta", type=float, required=True)
@@ -510,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--uv", default=None)
     p.add_argument("--grid", type=_GRID, default=128)
     common(p)
-    p.set_defaults(func=cmd_potential)
 
     return parser
 
@@ -522,7 +546,7 @@ def main(argv=None) -> int:
             if getattr(args, name, None) is not None:
                 flag = "--" + name.replace("_", "-")
                 setattr(args, name, _check_beta(getattr(args, name), flag))
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (DomainError, argparse.ArgumentError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2

@@ -6,8 +6,9 @@ header row; floats are serialized as shortest round-trip decimals, so a
 reload reproduces the in-memory values bit for bit.  JSON files hold an
 array of flat objects with the same field names plus ``kind`` and
 ``schema_version``.  The writers take a ``Table`` of columns or a list of
-record dicts and format one column at a time, each distinct value once.
-Both refuse a non-finite float with a ``NumericalError`` before writing
+record dicts and write the rows a chunk at a time, formatting each
+distinct value of a column once and holding only the texts of values
+that repeat.  Both refuse a non-finite float with a ``NumericalError`` before writing
 anything; ``None`` marks an unused column (the spare Maxwell minimizer
 slots).  The readers raise ``DomainError`` on a malformed file.
 """
@@ -104,49 +105,77 @@ def _text(value, name: str, as_json: bool) -> str:
     return json.dumps(value) if as_json else str(value)
 
 
-def _column(table: Table, name: str, as_json: bool, prefix: str,
-            suffix: str):
-    """(texts, index): the text of each distinct value of the column with
-    ``prefix`` and ``suffix`` attached, and the row -> text index (None:
-    one text per row).  Numeric and string arrays are reduced to their
-    distinct values first, floats by bit pattern so -0.0 stays apart."""
-    col = table.columns.get(name)
-    index = None
-    if col is None:
-        texts = [_text(None, name, as_json)] * len(table)
-    elif isinstance(col, np.ndarray) and col.dtype.kind == "f":
-        col = col.astype(np.float64, copy=False)
-        bad = ~np.isfinite(col)
-        if bad.any():
-            value = float(col[np.argmax(bad)])
+def _refuse_non_finite(table: Table, names: list) -> None:
+    """NumericalError on the first non-finite float of the named columns,
+    in column order."""
+    for name in names:
+        col = table.columns.get(name)
+        if col is None:
+            continue
+        if isinstance(col, np.ndarray) and col.dtype.kind != "O":
+            bad = col[~np.isfinite(col)] if col.dtype.kind == "f" else []
+        else:
+            bad = [v for v in col
+                   if isinstance(v, float) and not math.isfinite(v)]
+        if len(bad):
             raise NumericalError(f"refusing to write non-finite {name} = "
-                                 f"{value!r}")
-        keys, index = np.unique(col.view(np.int64), return_inverse=True)
-        texts = list(map(float.__repr__, keys.view(np.float64).tolist()))
-    elif isinstance(col, np.ndarray) and col.dtype.kind in "iubU":
-        keys, index = np.unique(col, return_inverse=True)
-        texts = [_text(v, name, as_json) for v in keys.tolist()]
-    else:
-        texts = [_text(v, name, as_json) for v in col]
-    if prefix or suffix:
-        texts = [prefix + text + suffix for text in texts]
-    if index is not None:
-        texts = np.array(texts, dtype=object)
-    return texts, index
+                                 f"{float(bad[0])!r}")
 
 
-# Rows are joined and written this many at a time (more rows per write buy
-# no speed and hold a larger text).
+def _column(col, name: str, as_json: bool, prefix: str, suffix: str):
+    """The function (start, stop) -> texts of those rows of one column,
+    with ``prefix`` and ``suffix`` attached.  In numeric and string arrays
+    every distinct value is formatted once: a value found in more than one
+    row when the write starts and held to its end, any other when its row
+    is written, so a column of distinct values holds no text beyond the
+    chunk being written.  Floats are told apart by bit pattern, so -0.0
+    stays apart from 0.0."""
+    if col is None:
+        empty = prefix + _text(None, name, as_json) + suffix
+        return lambda start, stop: [empty] * (stop - start)
+    if not (isinstance(col, np.ndarray) and col.dtype.kind in "fiubU"):
+        return lambda start, stop: [prefix + _text(v, name, as_json) + suffix
+                                    for v in col[start:stop]]
+    is_float = col.dtype.kind == "f"
+    if is_float:
+        col = col.astype(np.float64, copy=False).view(np.int64)
+
+    def texts(values):
+        if is_float:
+            out = list(map(float.__repr__, values.view(np.float64).tolist()))
+        else:
+            out = [_text(v, name, as_json) for v in values.tolist()]
+        if prefix or suffix:
+            out = [prefix + text + suffix for text in out]
+        return out
+
+    keys, index, counts = np.unique(col, return_inverse=True,
+                                    return_counts=True)
+    once = counts == 1
+    # the texts of repeated values, then a slot for the others
+    held = np.array(texts(keys[~once]) + [None], dtype=object)
+    slot = np.where(once, -1, np.cumsum(~once) - 1).astype(np.int32)[index]
+
+    def chunk(start, stop):
+        at = slot[start:stop]
+        out = held[at]
+        single = at < 0
+        out[single] = np.array(texts(col[start:stop][single]), dtype=object)
+        return out.tolist()
+    return chunk
+
+
+# Rows are formatted, joined and written this many at a time (more rows
+# per write buy no speed and hold a larger text).
 _CHUNK = 1024
 
 
 def _write_rows(fh, table: Table, columns: list, row_sep: str) -> None:
-    """Every row: its column texts joined by ',', rows by ``row_sep``."""
+    """Every row: the texts of ``columns`` joined by ',', rows by
+    ``row_sep``."""
     for start in range(0, len(table), _CHUNK):
         stop = min(start + _CHUNK, len(table))
-        cells = [texts[start:stop] if index is None
-                 else texts[index[start:stop]].tolist()
-                 for texts, index in columns]
+        cells = [column(start, stop) for column in columns]
         if start:
             fh.write(row_sep)
         fh.write(row_sep.join(map(",".join, zip(*cells))))
@@ -154,13 +183,14 @@ def _write_rows(fh, table: Table, columns: list, row_sep: str) -> None:
 
 def write_csv(fh, kind: str, records) -> None:
     """CSV of a ``Table`` or a list of record dicts.  Every column is
-    formatted, and so checked, before anything is written."""
+    checked before anything is written."""
     names = [name for name, _ in SCHEMAS[kind]]
     table = _table(records, names)
-    columns = [_column(table, name, False, "",
-                       "\n" if name == names[-1] else "") for name in names]
+    _refuse_non_finite(table, names)
     fh.write(f"{MAGIC} {kind}\n")
     fh.write(",".join(names) + "\n")
+    columns = [_column(table.columns.get(name), name, False, "",
+                       "\n" if name == names[-1] else "") for name in names]
     _write_rows(fh, table, columns, "")
 
 
@@ -169,9 +199,10 @@ def write_json(fh, kind: str, records) -> None:
     ``json.dump(objects, fh, indent=1)`` followed by a newline.  Each
     object starts with ``kind`` and ``schema_version``; a column of the
     same name (the census ``kind``) takes that first slot.  Every column
-    is formatted, and so checked, before anything is written."""
+    is checked before anything is written."""
     names = [name for name, _ in SCHEMAS[kind]]
     table = _table(records, names)
+    _refuse_non_finite(table, names)
     constants = {"kind": kind, "schema_version": SCHEMA_VERSION}
     fields = list(dict.fromkeys([*constants, *names]))
     columns, prefix = [], " {"
@@ -181,7 +212,8 @@ def write_json(fh, kind: str, records) -> None:
             prefix += json.dumps(constants[field]) + ","
             continue
         suffix = "\n }" if field == fields[-1] else ""
-        columns.append(_column(table, field, True, prefix, suffix))
+        columns.append(_column(table.columns.get(field), field, True, prefix,
+                               suffix))
         prefix = ""
     if not len(table):
         fh.write("[]\n")

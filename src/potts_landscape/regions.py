@@ -2,9 +2,14 @@
 
 The slice curves partition the field plane into cells on which the number
 of local minima is constant.  Curves are rasterized onto a boolean grid
-with 8-connected line drawing (which 4-connected components cannot leak
-across); the free pixels are then segmented into 4-connected components
-by joining the free runs of adjacent rows with union-find.
+with 8-connected Bresenham lines (which 4-connected components cannot
+leak across), one polyline at a time: every pixel of every segment comes
+from the closed form of the Bresenham step, the segments are expanded
+with one ``np.repeat`` and the pixels marked with one fancy-index
+assignment.  The free pixels are then segmented into 4-connected
+components by joining the free runs of adjacent rows with union-find;
+pixel counts and centroids come from the runs, thick cores and border
+contact from boolean masks.
 One probe point per component, at or near the component centroid, is
 handed to the caller for a census.  Components thinner than two pixels
 everywhere are flagged unresolved rather than probed.
@@ -29,25 +34,42 @@ class Region:
     touches_border: bool  # clipped by the raster window
 
 
-def _draw_segment(grid: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> None:
-    """Bresenham line; marks an 8-connected set of pixels."""
-    dx, dy = abs(x1 - x0), -abs(y1 - y0)
-    sx = 1 if x0 < x1 else -1
-    sy = 1 if y0 < y1 else -1
-    err = dx + dy
-    n = grid.shape[0]
-    while True:
-        if 0 <= x0 < n and 0 <= y0 < n:
-            grid[x0, y0] = True
-        if x0 == x1 and y0 == y1:
-            return
-        e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x0 += sx
-        if e2 <= dx:
-            err += dx
-            y0 += sy
+def _polyline_pixels(ix: np.ndarray, iy: np.ndarray, inside: np.ndarray,
+                     resolution: int) -> tuple:
+    """In-grid pixels of the Bresenham lines between consecutive points
+    (ix, iy) of one polyline, drawn where either end is ``inside``.
+
+    The line from (x0, y0) to (x0 + dx, y0 + dy), n = max(|dx|, |dy|),
+    marks for k = 0..n the pixel
+    (x0 + sx floor((2k|dx| + n) / 2n), y0 + sy floor((2k|dy| + n) / 2n)),
+    so along the major axis step k is at x0 + sx k (or y0 + sy k) and only
+    the steps inside the grid on that axis are expanded."""
+    # a point in its predecessor's pixel and band adds nothing (a segment
+    # from A to A marks A); the last point stays, so that a line collapsed
+    # onto one pixel still marks it
+    keep = np.ones(len(ix), dtype=bool)
+    keep[1:] = (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1]) | (inside[1:]
+                                                            != inside[:-1])
+    keep[-1] = True
+    ix, iy, inside = ix[keep], iy[keep], inside[keep]
+    drawn = inside[:-1] | inside[1:]
+    x0, y0 = ix[:-1][drawn], iy[:-1][drawn]
+    dx, dy = ix[1:][drawn] - x0, iy[1:][drawn] - y0
+    adx, ady = np.abs(dx), np.abs(dy)
+    n = np.maximum(adx, ady)
+    sx, sy = np.where(dx < 0, -1, 1), np.where(dy < 0, -1, 1)
+    major_x = adx >= ady
+    c, s = np.where(major_x, x0, y0), np.where(major_x, sx, sy)
+    lo = np.maximum(np.minimum(-s * c, s * (resolution - 1 - c)), 0)
+    hi = np.minimum(np.maximum(-s * c, s * (resolution - 1 - c)), n)
+    count = np.maximum(hi - lo + 1, 0)
+    seg = np.repeat(np.arange(len(count)), count)
+    k = np.arange(len(seg)) + (lo - np.cumsum(count) + count)[seg]
+    n, den = n[seg], np.maximum(2 * n[seg], 1)
+    x = x0[seg] + sx[seg] * ((2 * k * adx[seg] + n) // den)
+    y = y0[seg] + sy[seg] * ((2 * k * ady[seg] + n) // den)
+    ok = (x >= 0) & (x < resolution) & (y >= 0) & (y < resolution)
+    return x[ok], y[ok]
 
 
 def rasterize_curves(polylines: list, extent: tuple, resolution: int = 512) -> np.ndarray:
@@ -66,75 +88,85 @@ def rasterize_curves(polylines: list, extent: tuple, resolution: int = 512) -> n
         py = (pts[:, 1] - ymin) * sy
         inside = ((px > -resolution) & (px < 2 * resolution)
                   & (py > -resolution) & (py < 2 * resolution))
-        ix = np.round(px).astype(int)
-        iy = np.round(py).astype(int)
-        for k in range(len(pts) - 1):
-            if not (inside[k] or inside[k + 1]):
-                continue
-            _draw_segment(grid, ix[k], iy[k], ix[k + 1], iy[k + 1])
+        x, y = _polyline_pixels(np.round(px).astype(np.int64),
+                                np.round(py).astype(np.int64), inside,
+                                resolution)
+        grid[x, y] = True
     return grid
 
 
-def _components(free: np.ndarray) -> np.ndarray:
-    """4-connected component labels of the free pixels (0 where blocked),
-    numbered 1, 2, ... in the raster order of each component's first pixel.
+def _components(free: np.ndarray) -> tuple:
+    """(labels, runs): 4-connected component labels of the free pixels (0
+    where blocked), numbered 1, 2, ... in the raster order of each
+    component's first pixel, and the free runs of every row in raster
+    order as arrays (label, row, first column, last column).
 
-    The free pixels of each row form runs, enumerated in raster order.
-    Runs in adjacent rows that share a column are joined by union-find
-    keeping the earlier run as the root, so every root is the first run of
-    its component and ranking the roots numbers the components."""
-    padded = np.zeros((free.shape[0], free.shape[1] + 1), dtype=bool)
-    padded[:, 1:] = free
-    starts = free & ~padded[:, :-1]
-    run = np.cumsum(starts.ravel()).reshape(free.shape) - 1
-    n_runs = int(run.flat[-1]) + 1 if free.size else 0
+    Runs in adjacent rows that share a column are joined by union-find on
+    whole arrays: every round hooks the larger root of each joined pair
+    onto the smaller one and then follows the pointers to their roots,
+    until every pair shares its root.  Roots only ever point to earlier
+    runs, so every root is the first run of its component and ranking the
+    roots numbers the components."""
+    # a run changes its zero-padded row at its first pixel and after its
+    # last
+    padded = np.zeros((free.shape[0], free.shape[1] + 2), dtype=bool)
+    padded[:, 1:-1] = free
+    edge = padded[:, 1:] != padded[:, :-1]
+    row, col = np.nonzero(edge)
+    row, first, last = row[::2], col[::2], col[1::2] - 1
+    starts = edge[:, :-1] & free
+    # at a free pixel the number of its run (1, 2, ...), at a blocked one
+    # the number of the last run before it (0 before the first)
+    run = np.cumsum(starts.ravel(), dtype=np.int32).reshape(free.shape)
+    n_runs = len(row)
     # one pixel per pair of touching runs: where the overlap begins or
     # where a run starts inside it
     touch = free[:-1] & free[1:]
-    first = touch.copy()
-    first[:, 1:] &= ~touch[:, :-1] | starts[:-1, 1:] | starts[1:, 1:]
-    parent = list(range(n_runs))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in zip(run[:-1][first].tolist(), run[1:][first].tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    root = np.array(parent, dtype=np.int64)
+    pair = touch.copy()
+    pair[:, 1:] &= ~touch[:, :-1] | starts[:-1, 1:] | starts[1:, 1:]
+    a, b = run[:-1][pair], run[1:][pair]
+    root = np.arange(n_runs + 1)
     while True:
-        nxt = root[root]
-        if np.array_equal(nxt, root):
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
             break
-        root = nxt
-    number = np.cumsum(root == np.arange(n_runs)).astype(np.int32)
-    labels = np.zeros(free.shape, dtype=np.int32)
-    labels[free] = number[root][run[free]]
-    return labels
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            nxt = root[root]
+            if np.array_equal(nxt, root):
+                break
+            root = nxt
+    # run 0 is a root of its own and takes label 0
+    number = (np.cumsum(root == np.arange(n_runs + 1)) - 1).astype(np.int32)
+    owner = number[root]
+    labels = owner.take(run)
+    labels[~free] = 0
+    return labels, (owner[1:], row, first, last)
 
 
 def label_regions(polylines: list, extent: tuple,
                   resolution: int = 512) -> list:
     """Segment the window into cells of the curve arrangement."""
     xmin, xmax, ymin, ymax = extent
-    labels = _components(~rasterize_curves(polylines, extent, resolution))
+    free = ~rasterize_curves(polylines, extent, resolution)
+    labels, (owner, row, first, last) = _components(free)
     n = int(labels.max()) + 1
-    flat = labels.ravel()
-    ii, jj = np.indices(labels.shape)
-    count = np.bincount(flat, minlength=n)
-    sum_i = np.bincount(flat, ii.ravel().astype(float), minlength=n)
-    sum_j = np.bincount(flat, jj.ravel().astype(float), minlength=n)
-    # a thick core is a pixel with all four neighbours in its own component
-    inner = labels[1:-1, 1:-1]
-    core = ((inner == labels[:-2, 1:-1]) & (inner == labels[2:, 1:-1])
-            & (inner == labels[1:-1, :-2]) & (inner == labels[1:-1, 2:]))
-    thick = set(np.unique(inner[core]).tolist())
-    border = set(np.concatenate([labels[0], labels[-1], labels[:, 0],
-                                 labels[:, -1]]).tolist())
+    # pixel counts and row/column sums per component from the free runs of
+    # each row, as exact integers
+    length = last - first + 1
+    count = np.bincount(owner, length, minlength=n).astype(np.int64)
+    sum_i = np.bincount(owner, row * length, minlength=n)
+    sum_j = np.bincount(owner, (first + last) * length // 2, minlength=n)
+    # a thick core is a free pixel whose four neighbours are free, and so
+    # in its component; the first of each row's stretch of cores stands
+    # for the stretch
+    core = (free[1:-1, 1:-1] & free[:-2, 1:-1] & free[2:, 1:-1]
+            & free[1:-1, :-2] & free[1:-1, 2:])
+    core[:, 1:] &= ~core[:, :-1]
+    thick = np.bincount(labels[1:-1, 1:-1][core], minlength=n) > 0
+    border = np.zeros(n, dtype=bool)
+    for side in (labels[0], labels[-1], labels[:, 0], labels[:, -1]):
+        border[side] = True
     regions = []
     hx = (xmax - xmin) / (resolution - 1)
     hy = (ymax - ymin) / (resolution - 1)
@@ -149,6 +181,6 @@ def label_regions(polylines: list, extent: tuple,
         probe = (xmin + ci * hx, ymin + cj * hy)
         regions.append(Region(label=lab, n_pixels=int(count[lab]),
                               centroid=centroid, probe=probe,
-                              resolved=lab in thick,
-                              touches_border=lab in border))
+                              resolved=bool(thick[lab]),
+                              touches_border=bool(border[lab])))
     return regions

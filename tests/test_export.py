@@ -5,17 +5,19 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import potts_landscape as pl
 from potts_landscape import cli, export
+from potts_landscape import maxwell as mw
 from potts_landscape.bifurcation import slice_curves, surface_patches
 from potts_landscape.export import (MAGIC, SCHEMA_VERSION, SCHEMAS, Table,
                                     read_csv, read_json, write_csv,
                                     write_json)
-from potts_landscape.model import batch_pq
+from potts_landscape.model import batch_pq, batch_uv, batch_xy
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +192,33 @@ def test_none_in_maxwell_minimizer_slots():
     assert '"m4_nu3": null' in json_text
     assert all(row.endswith(",,") for row in csv_text.splitlines()[2:]
                if row.split(",")[11] == "3")
+
+
+def test_maxwell_write_fits_the_record_budget(tmp_path):
+    """Building and writing 20,000 maxwell records, every value distinct,
+    peaks below cli._RECORD_BYTES a record, the size that bounds
+    --segment-samples."""
+    rng = np.random.default_rng(11)
+    n = 20000
+
+    def section(name, m, k):
+        return cli._maxwell_section(2.6, name, rng.dirichlet((1, 1, 1), m),
+                                    rng.random(m),
+                                    rng.dirichlet((1, 1, 1), (m, k)))
+
+    layout = (("segment", n - 42, 2), ("triple", 1, 3), ("curve", 20, 2),
+              ("curve_mirror", 20, 2), ("uniform", 1, 4))
+    for writer in (write_csv, write_json):
+        with open(tmp_path / "maxwell.out", "w") as fh:
+            tracemalloc.start()
+            try:
+                table = cli._maxwell_table([section(*s) for s in layout])
+                writer(fh, "maxwell_point", table)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(table) == n
+        assert peak <= n * cli._RECORD_BYTES, (writer.__name__, peak / n)
 
 
 def test_non_ascii_text_in_json():
@@ -429,9 +458,57 @@ def test_cli_records_match_row_builders(tmp_path, argv, kind, rows, note,
     assert_same_text(out.read_text(), expected)
 
 
+def maxwell_record(beta, section, index, alpha, depth, minimizers):
+    u, v = batch_uv(alpha)
+    x, y = batch_xy(alpha)
+    rec = {
+        "beta": beta, "section": section, "index": index,
+        "alpha1": float(alpha[0]), "alpha2": float(alpha[1]),
+        "alpha3": float(alpha[2]),
+        "u": float(u), "v": float(v), "x": float(x), "y": float(y),
+        "depth": depth, "n_minimizers": len(minimizers),
+    }
+    for k in range(4):
+        for c in range(3):
+            rec[f"m{k + 1}_nu{c + 1}"] = (float(minimizers[k][c])
+                                          if k < len(minimizers) else None)
+    return rec
+
+
+def maxwell_records_rows(beta, step=0.005, segment_samples=40,
+                         tol=pl.DEFAULT_TOL):
+    """The maxwell records built one dict at a time from the constructs."""
+    def point_rows(section, points, swap=(0, 1, 2)):
+        return [maxwell_record(beta, section, k, p.alpha.array[list(swap)],
+                               p.depth,
+                               [m.array[list(swap)] for m in p.minimizers])
+                for k, p in enumerate(points)]
+
+    tp = None
+    if mw.BETA_BUTTERFLY < beta < mw.BETA_ELLIS_WANG:
+        tp = mw.triple_point(beta, tol=tol)
+        segment = mw._segment_to_triple(tp)
+    else:
+        segment = mw.symmetric_segment(beta, tol=tol)
+    records = point_rows("segment", mw.track_segment_pair(
+        segment, n=segment_samples, tol=tol))
+    if tp is not None:
+        records += point_rows("triple", [tp])
+        curve = mw.coexistence_curve(beta, step=step, tol=tol, origin=tp)
+        records += point_rows("curve", curve.points)
+        records += point_rows("curve_mirror", curve.points, (1, 0, 2))
+    if beta >= mw.BETA_ELLIS_WANG:
+        glob = mw.beyond_ellis_wang_segment(
+            beta, tol=tol).uniform_census.global_minimizers
+        records.append(maxwell_record(
+            beta, "uniform", 0, pl.AprioriMeasure.uniform().array,
+            glob[0].value if glob else 0.0, [p.nu.array for p in glob]))
+    return records
+
+
 @pytest.mark.parametrize("beta", [2.4, 2.6, 2.7, 3.0])
 def test_cli_maxwell_matches_oracle_writers(tmp_path, beta):
-    records, _, _ = cli._maxwell_data(beta, 0.005, 40, pl.DEFAULT_TOL)
+    records = maxwell_records_rows(beta)
     assert records
     for fmt, expected in (("csv", oracle_csv("maxwell_point", records)),
                           ("json", oracle_json("maxwell_point", records))):
