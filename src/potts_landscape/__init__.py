@@ -8,7 +8,7 @@ from .model import (AprioriMeasure, CoordPQ, CoordUV, CoordXY, DEFAULT_TOL,
                     from_uv, from_xy, gradient_local, hessian_local,
                     stationary_value, to_pq, to_uv, to_xy)
 from .stationary import (MinimaCensus, PointKind, StationaryPoint,
-                         brute_force_global_min, census,
+                         brute_force_global_min, census, censuses,
                          find_stationary_points)
 from .bifurcation import (ButterflyCoefficients, DomainIntervals, Interval,
                           SliceCurve, SurfacePatch, butterfly_expansion,

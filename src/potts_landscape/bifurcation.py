@@ -178,13 +178,22 @@ def slice_curves(beta: float, samples_per_interval: int = 400) -> list:
     if samples_per_interval < 2:
         raise DomainError("samples_per_interval must be >= 2")
     dom = domain_intervals(beta)
-    curves = []
-    for perm in PERMUTATIONS:
-        for k, iv in enumerate(dom.intervals):
-            xs = _cos_spaced(iv.lo, iv.hi, samples_per_interval, iv.include_hi)
+    branches = []
+    for iv in dom.intervals:
+        xs = _cos_spaced(iv.lo, iv.hi, samples_per_interval, iv.include_hi)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             g = _gamma_unchecked(beta, xs)
             nu = np.stack([xs, g, 1.0 - xs - g], axis=-1)
             alpha = batch_catastrophe(beta, nu)
+        # at huge beta the field underflows to the simplex boundary
+        if not (np.isfinite(alpha).all() and alpha.min() > 0.0):
+            raise NumericalError(
+                f"slice at beta = {beta!r} leaves floating-point range: the "
+                f"catastrophe map gives a non-finite or zero field component")
+        branches.append((xs, nu, alpha))
+    curves = []
+    for perm in PERMUTATIONS:
+        for k, (xs, nu, alpha) in enumerate(branches):
             curves.append(SliceCurve(beta=beta, branch=perm,
                                      interval_index=k, x_param=xs,
                                      nu=perm.apply(nu),

@@ -23,10 +23,10 @@ from .errors import DomainError, NumericalError
 from .maxwell import (BETA_BUTTERFLY, BETA_ELLIS_WANG, _segment_to_triple,
                       beyond_ellis_wang_segment, coexistence_curve,
                       symmetric_segment, track_segment_pair, triple_point)
-from .model import (DEFAULT_TOL, AprioriMeasure, ModelParams, _check_beta,
-                    batch_free_energy, batch_from_xy, batch_pq, batch_uv,
-                    batch_xy, from_pq, from_uv)
-from .stationary import PointKind, census
+from .model import (DEFAULT_TOL, AprioriMeasure, CoordPQ, ModelParams,
+                    _check_beta, batch_free_energy, batch_from_xy, batch_pq,
+                    batch_uv, batch_xy, from_pq, from_uv)
+from .stationary import PointKind, census, censuses
 
 SQRT3 = math.sqrt(3.0)
 # Float flags that must be finite and positive wherever a subcommand has them.
@@ -143,16 +143,11 @@ def label_slice_cells(beta, curves, extent, resolution=512, tol=DEFAULT_TOL):
     from .regions import label_regions
     polylines = [batch_pq(c.alpha) for c in curves]
     window = (-extent, extent, -extent, extent)
-    out = []
-    for region in label_regions(polylines, window, resolution):
-        if not region.resolved:
-            out.append((region, None))
-            continue
-        from .model import CoordPQ
-        alpha = from_pq(CoordPQ(*region.probe))
-        cens = census(ModelParams(beta, alpha), tol=tol)
-        out.append((region, cens.n_local_minima))
-    return out
+    regions = label_regions(polylines, window, resolution)
+    counts = iter(cens.n_local_minima for cens in censuses(
+        beta, [from_pq(CoordPQ(*r.probe)) for r in regions if r.resolved],
+        tol=tol))
+    return [(r, next(counts) if r.resolved else None) for r in regions]
 
 
 def cmd_slice(args) -> int:

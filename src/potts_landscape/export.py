@@ -273,6 +273,13 @@ def read_json(path: str):
         return None, []
     kind = data[0].get("kind")
     if kind not in SCHEMAS:
+        # a schema with a ``kind`` column (the census) holds that column's
+        # value in the slot: the key set names the schema
+        keys = set(data[0])
+        kind = next((name for name, columns in SCHEMAS.items()
+                     if keys == {"kind", "schema_version"}
+                     | {field for field, _ in columns}), kind)
+    if kind not in SCHEMAS:
         raise DomainError(f"unknown record kind {kind!r} in {path}")
     records = []
     for obj in data:

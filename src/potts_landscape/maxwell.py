@@ -35,7 +35,8 @@ from .model import (DEFAULT_TOL, AprioriMeasure, ModelParams,
                     SpinDistribution, ToleranceConfig, _check_beta,
                     batch_catastrophe, batch_free_energy, batch_from_xy,
                     batch_stationary_value, batch_xy, hessian_eigenvalues)
-from .stationary import MinimaCensus, _polish, census
+from .stationary import (MinimaCensus, _census_batch, _checked, _polish,
+                         census)
 
 _SWAP12 = (1, 0, 2)
 
@@ -123,14 +124,23 @@ def _segment_to_triple(tp: CoexistencePoint) -> AxisSegment:
     return AxisSegment(tp.beta, -0.5, float(batch_xy(tp.alpha.array)[1]))
 
 
+def _axis_field(y: float) -> AprioriMeasure:
+    """The field at the axis point with the given y-coordinate."""
+    return AprioriMeasure.from_array(batch_from_xy([0.0, float(y)]))
+
+
 def axis_minima(beta: float, y: float, tol: ToleranceConfig = DEFAULT_TOL):
     """Split the minima at the axis point with the given y-coordinate into
     symmetric ones (first two components equal) and the pair member with
     x > 0, read off the census there.  Returns (sym, asym) as lists of
     simplex arrays."""
-    alpha = AprioriMeasure.from_array(batch_from_xy([0.0, float(y)]))
+    return _axis_split(census(ModelParams(beta, _axis_field(y)), tol=tol))
+
+
+def _axis_split(cens: MinimaCensus):
+    """``axis_minima`` of an axis census."""
     sym, asym = [], []
-    for p in census(ModelParams(beta, alpha), tol=tol).minima:
+    for p in cens.minima:
         x = float(batch_xy(p.nu.array)[0])
         if abs(x) <= 1e-7:
             sym.append(p.nu.array)
@@ -167,9 +177,12 @@ def triple_point(beta: float,
         raise DomainError(
             f"triple point requires 18/7 < beta < 4 log 2, got {beta}")
 
+    # one batch; a seed census that failed raises only once it is read
+    seeds = _census_batch([ModelParams(beta, _axis_field(y))
+                           for y in _TRIPLE_SEED_YS], tol)
     syms, asyms = [], []
-    for y in _TRIPLE_SEED_YS:
-        sym, asym = axis_minima(beta, y, tol)
+    for cens in seeds:
+        sym, asym = _axis_split(_checked(cens))
         # pair the new minima with each other and with those seen before
         pairs = [(s, a) for s in syms for a in asym]
         pairs += [(s, a) for s in sym for a in asyms + asym]
@@ -558,11 +571,13 @@ def track_segment_pair(segment: AxisSegment, n: int = 40,
         ``indices``, over ``indices`` while the pair exists."""
         for k in indices:
             seed = path[-1] if len(path) < 2 else 2.0 * path[-1] - path[-2]
+            # renormalised, or rounding accumulates in the sum over samples
+            seed = seed / seed.sum()
             alpha = batch_from_xy([0.0, ys[k]])
-            got = (_polish(beta, alpha, seed[None, :], tol)
-                   if seed.min() > 0.0 else [])
-            if len(got) and (hessian_eigenvalues(beta, got[0])[0]
-                             > tol.degenerate_eig):
+            got, ok = (_polish(beta, alpha[None, :], seed[None, :], tol)
+                       if seed.min() > 0.0 else (None, [False]))
+            if ok[0] and (hessian_eigenvalues(beta, got[0])[0]
+                          > tol.degenerate_eig):
                 cur = got[0]
             else:
                 # too long a step for the polish: the census there

@@ -17,7 +17,9 @@ include the zeros of F'' and F', refined by Halley steps from the roots of
 cubic Hermite interpolants, polished by a few Newton steps on the local
 gradient and classified through the Hessian spectrum.  ``census`` wraps
 this into the minima count that settles which cell of the phase diagram a
-parameter point belongs to.
+parameter point belongs to.  ``censuses`` solves many fields at one beta
+together, sharing the samples and every refinement round; ``census`` is its
+batch of one.
 
 Damped Newton from a barycentric seed lattice (``newton_stationary``,
 ``stationary_points_from_seeds``) is kept only as the tests' independent
@@ -177,22 +179,23 @@ def newton_stationary(beta: float, alpha: np.ndarray, seeds: np.ndarray,
     return nu[done | (gnorm <= tol.residual)]
 
 
-def _dedupe_xy(points: np.ndarray, radius: float) -> np.ndarray:
-    """Deduplicate (n, 3) rows by Euclidean radius in plane coordinates,
-    keeping a deterministic lexicographic order."""
-    if len(points) == 0:
-        return points
+def _dedupe_xy(points: np.ndarray, owner: np.ndarray,
+               radius: float) -> np.ndarray:
+    """Indices of the (n, 3) rows kept when rows of one owner within
+    Euclidean ``radius`` in plane coordinates are merged: owner by owner
+    (ascending), in a deterministic lexicographic order."""
     xy = batch_xy(points)
-    order = np.lexsort((xy[:, 1], xy[:, 0]))
-    reps: list = []
-    reps_xy: list = []
-    for k in order:
+    keep, reps_xy, current = [], [], None
+    owners = owner.tolist()
+    for k in np.lexsort((xy[:, 1], xy[:, 0], owner)).tolist():
+        if owners[k] != current:
+            current, reps_xy = owners[k], []
         p = xy[k]
         if all((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 > radius * radius
                for q in reps_xy):
-            reps.append(points[k])
+            keep.append(k)
             reps_xy.append(p)
-    return np.asarray(reps)
+    return np.array(keep, dtype=int)
 
 
 def _kind(lo: float, hi: float, tol: ToleranceConfig) -> PointKind:
@@ -210,19 +213,23 @@ def classify(beta: float, nu, tol: ToleranceConfig = DEFAULT_TOL):
 
 
 def _classified(beta: float, alpha: np.ndarray, roots: np.ndarray,
-                tol: ToleranceConfig) -> list:
-    """Deduplicate and classify converged roots, ordered lexicographically
-    in plane coordinates."""
-    roots = _dedupe_xy(roots, tol.merge_radius)
-    if len(roots) == 0:
-        raise NumericalError(
-            "no stationary point converged; a smooth landscape with "
-            "boundary divergence has at least one minimum")
+                owner: np.ndarray, m: int, tol: ToleranceConfig) -> list:
+    """For each field 0..m-1, the converged ``roots`` it owns (``owner``;
+    ``alpha`` one field per row) deduplicated and classified,
+    ordered lexicographically in plane coordinates, or a ``NumericalError``
+    where it owns none."""
+    keep = _dedupe_xy(roots, owner, tol.merge_radius)
+    roots = roots[keep]
     eigs = hessian_eigenvalues(beta, roots).tolist()
-    values = batch_free_energy(beta, alpha, roots).tolist()
-    return [StationaryPoint(SpinDistribution.from_array(row), (lo, hi),
-                            _kind(lo, hi, tol), value)
-            for row, (lo, hi), value in zip(roots, eigs, values)]
+    values = batch_free_energy(beta, alpha[keep], roots).tolist()
+    points = [[] for _ in range(m)]
+    for i, row, (lo, hi), value in zip(owner[keep].tolist(), roots, eigs,
+                                       values):
+        points[i].append(StationaryPoint(SpinDistribution.from_array(row),
+                                         (lo, hi), _kind(lo, hi, tol), value))
+    return [found or NumericalError(
+        "no stationary point converged; a smooth landscape with boundary "
+        "divergence has at least one minimum") for found in points]
 
 
 def stationary_points_from_seeds(beta: float, alpha: np.ndarray,
@@ -230,8 +237,10 @@ def stationary_points_from_seeds(beta: float, alpha: np.ndarray,
                                  tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """Converge, deduplicate and classify stationary points from an
     arbitrary seed array, ordered lexicographically in plane coordinates."""
-    return _classified(beta, alpha, newton_stationary(beta, alpha, seeds, tol),
-                       tol)
+    roots = newton_stationary(beta, alpha, seeds, tol)
+    return _checked(_classified(beta, np.broadcast_to(alpha, roots.shape),
+                                roots, np.zeros(len(roots), dtype=int), 1,
+                                tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +326,14 @@ def _sample_grid():
     """The beta-independent samples, and offsets around 1/beta."""
     ends = np.geomspace(1e-14, 1e-2, 25)
     grid = np.concatenate([np.linspace(0.0, 1.0, 201)[1:-1], ends, 1.0 - ends])
-    return np.unique(grid), np.geomspace(1e-12, 0.5, 25)
+    return _distinct(grid), np.geomspace(1e-12, 0.5, 25)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D float array without NaN: what
+    ``np.unique`` returns, without its first call importing ``numpy.ma``."""
+    a = np.sort(a)
+    return a[np.concatenate([[True], a[1:] != a[:-1]])]
 
 
 def _samples(beta: float) -> np.ndarray:
@@ -327,7 +343,7 @@ def _samples(beta: float) -> np.ndarray:
     t, near = _sample_grid()
     centre = 1.0 / beta
     if centre < 1.0:
-        t = np.unique(np.concatenate([t, [centre], centre * (1.0 - near),
+        t = _distinct(np.concatenate([t, [centre], centre * (1.0 - near),
                                       centre * (1.0 + near)]))
     return t[t < 1.0]
 
@@ -340,7 +356,9 @@ def _bracketed_halley(fun, lo, hi, end_lo, end_hi):
     Newton) steps that stay inside the shrinking bracket and at least halve
     the last one, else bisect (``rtsafe``).  Done when the Newton step or
     the width is at rounding level, or when a step inside the bracket fails
-    the halving test within 1e3 rounding units: that is rounding noise."""
+    the halving test within 1e3 rounding units: that is rounding noise.
+    A bracket once done keeps its root, so each root is the same whatever
+    other brackets share the call."""
     if not len(lo):
         return lo
     eps = 4.0 * np.finfo(float).eps
@@ -352,10 +370,10 @@ def _bracketed_halley(fun, lo, hi, end_lo, end_hi):
         u = u - (((c3 * u + c2) * u + h * d0) * u + f0) / (
             (3.0 * c3 * u + 2.0 * c2) * u + h * d0)
     x = np.where((u > 0.0) & (u < 1.0), lo + u * h, 0.5 * (lo + hi))
-    step = h
+    step, sign_lo = h, np.sign(f0)
     for _ in range(100):
         f, df, *d2f = fun(x)
-        left = np.sign(f) == np.sign(f0)
+        left = np.sign(f) == sign_lo
         lo = np.where(left, x, lo)
         hi = np.where(left, hi, x)
         dx = f / df / (1.0 - 0.5 * f * d2f[0] / (df * df) if d2f else 1.0)
@@ -371,10 +389,31 @@ def _bracketed_halley(fun, lo, hi, end_lo, end_hi):
     return x
 
 
+# The two other components for each index of the largest field component.
+_OTHERS = np.array([[1, 2], [0, 2], [0, 1]])
+_SIDES = np.arange(2)
+_UPPER = _SIDES == 1
+
+
+def _scan(beta: float, log_r, t, orders: int = 4):
+    """F = t + x_i + x_j - 1 and its first ``orders - 1`` derivatives on all
+    four pairs at samples ``t``, where ``log_r[..., :]`` broadcasts against
+    ``t``: shape (orders,) + broadcast shape + (4,)."""
+    xs = _branch_values(beta, log_r[..., None], t[..., None, None], _UPPER,
+                        orders)
+    out = xs[..., _SIDES, _PAIRS].sum(axis=-1)
+    out[0] += t[..., None] - 1.0
+    out[1:2] += 1.0
+    return out
+
+
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _reduced_roots(beta: float, alpha: np.ndarray,
-                   tol: ToleranceConfig) -> np.ndarray:
-    """Stationary points as roots of the one-variable reduction, (m, 3).
+def _reduced_roots(beta: float, alphas: np.ndarray,
+                   tol: ToleranceConfig):
+    """Stationary points of the fields ``alphas`` (m, 3) at one beta, as
+    roots of the one-variable reduction: (nu, owner, errors), with nu the
+    points (r, 3), owner the field of each, and errors the
+    ``NumericalError`` of each field whose points are dropped (else None).
 
     The zeros of F'' and then of F' join the samples before F is scanned,
     so the close roots next to a fold or a cusp are separated without a
@@ -383,52 +422,58 @@ def _reduced_roots(beta: float, alpha: np.ndarray,
     point, where a tie in alpha makes two branches meet, shows up in
     several pairs.  A root with a component below ``tol.interior_margin``
     cannot be represented as a ``SpinDistribution``; rather than drop it,
-    the census fails with a ``NumericalError``.
-    """
-    k = int(np.argmax(alpha))
-    others = [i for i in range(3) if i != k]
-    log_r = np.log(alpha[others]) - np.log(alpha[k])
+    the census of its field fails with a ``NumericalError``.
 
-    def scan(t, orders=4):
-        """F = t + x_i + x_j - 1 and its first ``orders - 1`` derivatives at
-        samples t on all four pairs, (orders, n, 4)."""
-        xs = _branch_values(beta, log_r[:, None], t[:, None, None],
-                            np.array([False, True]), orders)
-        out = xs[:, :, np.arange(2), _PAIRS].sum(axis=-1)
-        out[0] += t[:, None] - 1.0
-        out[1:2] += 1.0
-        return out
+    The fields' samples are kept in one list sorted by field, then by
+    ``t``; every field starts from the samples of its beta and each round
+    refines the brackets of all fields in one call.  Each root is computed
+    element by element, so it is the same in any batch.
+    """
+    m = len(alphas)
+    k = alphas.argmax(axis=1)
+    others = _OTHERS[k]
+    rows = np.arange(m)[:, None]
+    log_alpha = np.log(alphas)
+    log_r = log_alpha[rows, others] - log_alpha[rows, k[:, None]]
+    tie = (log_r == 0.0).any(axis=1)
 
     def refine(order, j, b):
         """Zeros of derivative ``order`` of F in (t[j], t[j + 1]) on pairs
         b, and the scan at them (the last evaluation: all brackets end on
         an evaluated point)."""
         last = np.empty((4, 0, 4))
+        lr, at = log_r[field[j]], np.arange(len(j))
 
         def fun(x):
             nonlocal last
-            last = scan(x, min(order + 3, 4))
-            return last[order:, np.arange(len(x)), b]
+            last = _scan(beta, lr, x, min(order + 3, 4))
+            return last[order:, at, b]
         return _bracketed_halley(fun, t[j], t[j + 1], f[order:order + 2, j, b],
                                  f[order:order + 2, j + 1, b]), last
 
     t = _samples(beta)
-    f = scan(t)
+    f = _scan(beta, log_r[:, None], t).reshape(4, -1, 4)
+    field = np.repeat(np.arange(m), len(t))
+    t = np.concatenate([t] * m)
     for order in (2, 1):
-        # at a tie F', F'' jump where the branches meet (t = 1/beta): no zero
-        jump = (t == 1.0 / beta) & np.any(log_r == 0.0)
+        # at a tie F', F'' jump where the branches meet (t = 1/beta): no
+        # zero; neither is a change from one field's samples to the next
+        cut = (t == 1.0 / beta) & tie[field]
+        cut = (cut[:-1] | cut[1:]) | (field[:-1] != field[1:])
         k_new, b_new = np.nonzero((f[order, :-1] * f[order, 1:] < 0.0)
-                                  & ~(jump[:-1] | jump[1:])[:, None])
+                                  & ~cut[:, None])
         t_new, f_new = refine(order, k_new, b_new)
         n = len(t)
         t = np.concatenate([t, t_new])
         f = np.concatenate([f, f_new], axis=1)
-        rank = np.argsort(t, kind="stable")
-        t, f = t[rank], f[:, rank]
+        field = np.concatenate([field, field[k_new]])
+        rank = np.lexsort((t, field))
+        t, f, field = t[rank], f[:, rank], field[rank]
     # after the last round: where the extrema of F sit among the samples
     e_ext, b_ext = np.argsort(rank)[n:], b_new
 
-    k_root, b_root = np.nonzero(f[0, :-1] * f[0, 1:] < 0.0)
+    k_root, b_root = np.nonzero((f[0, :-1] * f[0, 1:] < 0.0)
+                                & (field[:-1] == field[1:])[:, None])
     t_root = refine(0, k_root, b_root)[0]
     f = f[0]
     k_zero, b_zero = np.nonzero(f == 0.0)
@@ -438,29 +483,39 @@ def _reduced_roots(beta: float, alpha: np.ndarray,
     touch = ((np.abs(fe) <= _TANGENT_TOL)
              & (f[e_ext - 1, b_ext] * fe > 0.0)
              & (f[e_ext + 1, b_ext] * fe > 0.0))
+    owner = field[np.concatenate([k_root, k_zero, e_ext[touch]])]
     t_all = np.concatenate([t_root, t[k_zero], t[e_ext[touch]]])
     b_all = np.concatenate([b_root, b_zero, b_ext[touch]])
 
-    x = _branch_values(beta, log_r, t_all[:, None], _PAIRS[b_all] == 1, 1)[0]
+    x = _branch_values(beta, log_r[owner], t_all[:, None],
+                       _PAIRS[b_all] == 1, 1)[0]
     nu = np.empty((len(t_all), 3))
-    nu[:, k] = t_all
-    nu[:, others] = x
+    at = np.arange(len(t_all))
+    nu[at, k[owner]] = t_all
+    nu[at[:, None], others[owner]] = x
     nu /= nu.sum(axis=1, keepdims=True)
     lost = nu.min(axis=1) < tol.interior_margin
+    errors = [None] * m
     if np.any(lost):
-        raise NumericalError(
-            f"{int(lost.sum())} stationary point(s) lie outside the "
-            f"representable interior: smallest component "
-            f"{float(nu[lost].min())!r} < {tol.interior_margin!r}")
-    return nu
+        failed = np.zeros(m, dtype=bool)
+        failed[owner[lost]] = True
+        for i in np.flatnonzero(failed).tolist():
+            out = nu[lost & (owner == i)]
+            errors[i] = NumericalError(
+                f"{len(out)} stationary point(s) lie outside the "
+                f"representable interior: smallest component "
+                f"{float(out.min())!r} < {tol.interior_margin!r}")
+        keep = ~failed[owner]
+        nu, owner = nu[keep], owner[keep]
+    return nu, owner, errors
 
 
 def _polish(beta: float, alpha: np.ndarray, nu: np.ndarray,
-            tol: ToleranceConfig) -> np.ndarray:
+            tol: ToleranceConfig):
     """Up to four Newton steps on the local gradient, each kept only where it
-    lowers the gradient norm; returns the rows that meet ``tol.residual``.
-    All three components are updated, so none is recomputed from the
-    other two."""
+    lowers the gradient norm, under the field ``alpha`` of each row.
+    Returns the rows and where they meet ``tol.residual``.  All three
+    components are updated, so none is recomputed from the other two."""
     nu = nu.copy()
     gnorm = np.linalg.norm(batch_gradient(beta, alpha, nu), axis=-1)
     for _ in range(4):
@@ -468,31 +523,28 @@ def _polish(beta: float, alpha: np.ndarray, nu: np.ndarray,
         if not len(idx):
             break
         d1, d2, _ = _newton_step(beta, nu[idx],
-                                 batch_gradient(beta, alpha, nu[idx]))
+                                 batch_gradient(beta, alpha[idx], nu[idx]))
         cand = nu[idx] + np.stack([d1, d2, -d1 - d2], axis=-1)
         valid = cand.min(axis=1) > 0.0
         cand[~valid] = nu[idx[~valid]]
-        gn = np.linalg.norm(batch_gradient(beta, alpha, cand), axis=-1)
+        gn = np.linalg.norm(batch_gradient(beta, alpha[idx], cand), axis=-1)
         better = valid & (gn < gnorm[idx])
         nu[idx[better]] = cand[better]
         gnorm[idx[better]] = gn[better]
-    return nu[gnorm <= tol.residual]
+    return nu, gnorm <= tol.residual
 
 
-def find_stationary_points(params: ModelParams,
-                           tol: ToleranceConfig = DEFAULT_TOL) -> list:
-    """All stationary points, as the roots of the one-variable reduction
-    polished to ``tol.residual``, deduplicated and classified, ordered
-    lexicographically in plane coordinates."""
-    beta, alpha = params.beta, params.alpha.array
-    roots = _polish(beta, alpha, _reduced_roots(beta, alpha, tol), tol)
-    return _classified(beta, alpha, roots, tol)
+def _checked(result):
+    """A per-field result of the batch, raised where it is an error."""
+    if isinstance(result, NumericalError):
+        raise result
+    return result
 
 
-def census(params: ModelParams,
-           tol: ToleranceConfig = DEFAULT_TOL) -> MinimaCensus:
-    """Count local minima and extract the set of global minimizers."""
-    points = find_stationary_points(params, tol)
+def _census_of(params: ModelParams, points: list,
+               tol: ToleranceConfig) -> MinimaCensus:
+    """Count local minima among the classified points of one field and
+    extract the set of global minimizers."""
     minima = [p for p in points if p.kind is PointKind.MINIMUM]
     degenerate = any(p.kind is PointKind.DEGENERATE for p in points)
     # a degenerate point with a positive definite Hessian is a minimum
@@ -506,6 +558,48 @@ def census(params: ModelParams,
     return MinimaCensus(params=params, points=tuple(points),
                         n_local_minima=len(minima), global_minimizers=glob,
                         degenerate_warning=degenerate)
+
+
+def _census_batch(params: list, tol: ToleranceConfig) -> list:
+    """The census of each of ``params``, which share one beta, or the
+    ``NumericalError`` its field fails with, in the order given."""
+    if not params:
+        return []
+    beta = params[0].beta
+    alphas = np.array([(p.alpha.a1, p.alpha.a2, p.alpha.a3) for p in params])
+    nu, owner, errors = _reduced_roots(beta, alphas, tol)
+    nu, ok = _polish(beta, alphas[owner], nu, tol)
+    points = _classified(beta, alphas[owner[ok]], nu[ok], owner[ok],
+                         len(params), tol)
+    return [error or (pts if isinstance(pts, NumericalError)
+                      else _census_of(p, pts, tol))
+            for p, error, pts in zip(params, errors, points)]
+
+
+def find_stationary_points(params: ModelParams,
+                           tol: ToleranceConfig = DEFAULT_TOL) -> list:
+    """All stationary points, as the roots of the one-variable reduction
+    polished to ``tol.residual``, deduplicated and classified, ordered
+    lexicographically in plane coordinates."""
+    return list(census(params, tol).points)
+
+
+def census(params: ModelParams,
+           tol: ToleranceConfig = DEFAULT_TOL) -> MinimaCensus:
+    """Count local minima and extract the set of global minimizers: the
+    batch of one of ``censuses``."""
+    return _checked(_census_batch([params], tol)[0])
+
+
+def censuses(beta: float, alphas,
+             tol: ToleranceConfig = DEFAULT_TOL) -> tuple:
+    """The census of each field of ``alphas`` (``AprioriMeasure``) at one
+    ``beta``, solved together: one scan and one refinement per round for
+    the whole batch.  Each census is the one ``census`` gives for its field
+    alone, bit for bit.  Raises the error of the first field, in the order
+    given, whose census fails."""
+    params = [ModelParams(beta, a) for a in alphas]
+    return tuple(_checked(r) for r in _census_batch(params, tol))
 
 
 def brute_force_global_min(params: ModelParams, grid_density: int = 200,
@@ -526,8 +620,7 @@ def brute_force_global_min(params: ModelParams, grid_density: int = 200,
     while True:
         nodes = nodes[nodes.min(axis=1) > 0.0]
         best = nodes[int(np.argmin(batch_free_energy(beta, alpha, nodes)))]
-        refined = _polish(beta, alpha, best[None, :], tol)
-        if len(refined) or spacing < 1e-9:
-            return SpinDistribution.from_array(
-                refined[0] if len(refined) else best)
+        refined, ok = _polish(beta, alpha[None, :], best[None, :], tol)
+        if ok[0] or spacing < 1e-9:
+            return SpinDistribution.from_array(refined[0] if ok[0] else best)
         nodes, spacing = best + spacing * zoom, spacing / 4.0

@@ -435,6 +435,32 @@ def test_huge_beta_fails_with_one_line(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("beta", ["1e10", "1e30", "1e200"])
+@pytest.mark.parametrize("form", [["csv"], ["json"], ["svg"],
+                                  ["svg", "--label-cells"]])
+def test_slice_at_huge_beta(capsys, tmp_path, beta, form):
+    """Finite output, or one error line; never a warning or an empty
+    picture."""
+    out = tmp_path / f"slice.{form[0]}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(["slice", "--beta", beta, "--format", *form,
+                  "--out", str(out)])
+    assert [str(w.message) for w in caught] == []
+    lines = capsys.readouterr().err.strip().splitlines()
+    if rc != 0:
+        assert rc == 3 and len(lines) == 1, (rc, lines)
+        assert lines[0].startswith("numerical failure:")
+        return
+    assert lines == []
+    if form[0] == "svg":
+        assert "<polyline" in out.read_text()
+    else:
+        _, recs = (read_csv if form[0] == "csv" else read_json)(str(out))
+        assert recs and all(math.isfinite(v) for r in recs
+                            for v in r.values() if isinstance(v, float))
+
+
 class _StubParser:
     def __init__(self, args):
         self._args = args
@@ -483,6 +509,17 @@ class TestMaxwellCommand:
         assert "segment" in sections and "uniform" in sections
         uniform = next(r for r in recs if r["section"] == "uniform")
         assert uniform["n_minimizers"] == 3
+
+    def test_many_segment_samples(self, tmp_path):
+        """The segment walk renormalises its secant seeds, so rounding does
+        not accumulate in the components' sum over thousands of samples."""
+        out = tmp_path / "maxwell.csv"
+        assert run(["maxwell", "--beta", "2.4", "--segment-samples", "5000",
+                    "--out", str(out)]) == 0
+        _, recs = read_csv(str(out))
+        assert len(recs) == 5000
+        assert all(math.isfinite(v) for r in recs for v in r.values()
+                   if isinstance(v, float))
 
     def test_empty_below_two(self, tmp_path):
         out = tmp_path / "maxwell.csv"

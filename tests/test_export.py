@@ -360,6 +360,24 @@ class TestReadJsonRefusals:
         path.write_text(written(write_json, "maxwell_point", table))
         assert read_json(str(path)) == ("maxwell_point", records)
 
+    def test_census_round_trip_byte_for_byte(self, tmp_path):
+        """The census point-kind column fills each object's ``kind`` slot;
+        the reader tells the schema by the object's key set."""
+        path = tmp_path / "census.json"
+        assert cli.main(["census", "--records", "--beta",
+                         repr(pl.BETA_ELLIS_WANG), "--uv", "0,0", "--format",
+                         "json", "--out", str(path)]) == 0
+        kind, records = read_json(str(path))
+        assert kind == "census" and len(records) == 7
+        assert written(write_json, kind, records) == path.read_text()
+        table, records = random_table(np.random.default_rng(12), "census",
+                                      300, texts=ASCII_TEXT)
+        text = written(write_json, "census", table)
+        path.write_text(text)
+        assert read_json(str(path)) == ("census", records)
+        assert_same_text(written(write_json, "census",
+                                 read_json(str(path))[1]), text)
+
 
 # ---------------------------------------------------------------------------
 # CLI output against the per-row record builders

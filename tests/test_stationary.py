@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -325,7 +328,10 @@ class TestRefinement:
         return cases + [(beta, AUNIFORM.array) for beta in
                         (1.5, pl.BETA_ELLIS_WANG, pl.BETA_UMBILIC)]
 
-    def test_work_per_census(self, rng, monkeypatch):
+    @staticmethod
+    def _counted(monkeypatch):
+        """Count ``_branch_values`` calls: in all, and per refinement
+        round."""
         calls, rounds = [0], []
         branch_values = stationary._branch_values
         refine = stationary._bracketed_halley
@@ -342,6 +348,10 @@ class TestRefinement:
 
         monkeypatch.setattr(stationary, "_branch_values", counted)
         monkeypatch.setattr(stationary, "_bracketed_halley", round_counted)
+        return calls, rounds
+
+    def test_work_per_census(self, rng, monkeypatch):
+        calls, rounds = self._counted(monkeypatch)
         cases = self._sweep(rng)
         for beta, a in cases:
             pl.census(pl.ModelParams(beta, pl.AprioriMeasure.from_array(a)))
@@ -351,6 +361,19 @@ class TestRefinement:
         # to the branch point t = 1/beta are jumps, not zeros, and are skipped
         zero_field = rounds[-3 * 3:]
         assert max(zero_field[0::3] + zero_field[1::3]) <= 3, zero_field
+
+    def test_work_per_round_in_a_batch(self, rng, monkeypatch):
+        """A batch runs each round once for all its fields, and a round
+        costs what its slowest bracket costs alone."""
+        sweep = self._sweep(rng)
+        fields = [pl.AprioriMeasure.from_array(a)
+                  for _, a in sweep[:12] + sweep[100:108]]
+        calls, rounds = self._counted(monkeypatch)
+        betas = (1.5, 2.6, 3.0, pl.BETA_ELLIS_WANG, 3.9)
+        for beta in betas:
+            assert len(pl.censuses(beta, fields)) == 20
+        assert len(rounds) == 3 * len(betas)
+        assert max(rounds) <= 12, rounds
 
     def test_agrees_with_midpoint_newton(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -433,3 +456,102 @@ class TestOutsideInterior:
         alpha = pl.AprioriMeasure(0.5, 0.5 - 1e-12, 1e-12)
         with pytest.raises(pl.NumericalError, match="smallest component"):
             pl.census(pl.ModelParams(beta, alpha))
+
+
+def _bits(result):
+    """Everything a census holds, as bytes and enum members, so that equal
+    means bit for bit; an error as its type and message."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    numbers = [x for p in result.points
+               for x in (*p.nu.array, *p.hess_eigenvalues, p.value)]
+    numbers += [x for p in result.global_minimizers for x in p.nu.array]
+    return (np.array(numbers).tobytes(), [p.kind for p in result.points],
+            result.n_local_minima, len(result.global_minimizers),
+            result.degenerate_warning, result.params)
+
+
+class TestBatch:
+    """``censuses`` solves many fields at one beta together; each result is
+    the one ``census`` gives for its field alone."""
+
+    @staticmethod
+    def _fields(rng, n):
+        """Random fields, exact and near ties in every position, zero field,
+        fields next to an edge and one on the interior margin, which fails
+        at every beta."""
+        out = [pl.AprioriMeasure(0.5, 0.5 - 1e-12, 1e-12)]
+        for i in range(n - 1):
+            if i % 5 == 0:
+                a = random_interior(rng, 1, margin=0.03)[0]
+            elif i % 5 == 1:
+                a2 = float(rng.uniform(0.05, 0.45))
+                eps = (0.0, 1e-12, 1e-9, 1e-6)[i % 4]
+                a = rng.permutation([a2 * (1.0 + eps), a2,
+                                     1.0 - a2 * (2.0 + eps)])
+            elif i % 5 == 2:
+                a = rng.dirichlet((1.0, 1.0, 1.0))
+                a[i % 3] = 10.0 ** rng.uniform(-11.5, -2.0)
+                a /= a.sum()
+            elif i % 10 == 3:
+                a = AUNIFORM.array
+            else:
+                a = random_interior(rng, 1, margin=0.005)[0]
+            out.append(pl.AprioriMeasure.from_array(a))
+        return list(rng.permutation(np.array(out, dtype=object)))
+
+    def test_each_field_as_alone(self):
+        rng = np.random.default_rng(9)
+        betas = [pl.BETA_BUTTERFLY, pl.BETA_ELLIS_WANG, 3.0, 0.5, 6.0]
+        betas += rng.uniform(0.5, 6.0, 7).tolist()
+        failures = 0
+        for beta in betas:
+            fields = self._fields(rng, 90)
+            batch = stationary._census_batch(
+                [pl.ModelParams(beta, a) for a in fields], pl.DEFAULT_TOL)
+            assert len(batch) == len(fields)
+            for a, got in zip(fields, batch):
+                want = _census_or_error(beta, a.array)
+                if isinstance(want, str):
+                    failures += 1
+                    assert isinstance(got, pl.NumericalError), (beta, a)
+                    assert str(got) == want, (beta, a)
+                else:
+                    assert _bits(got) == _bits(want), (beta, a)
+            errors = [r for r in batch if isinstance(r, Exception)]
+            with pytest.raises(pl.NumericalError) as caught:
+                pl.censuses(beta, fields)
+            assert str(caught.value) == str(errors[0])
+        assert failures >= len(betas)
+
+    def test_errors_in_input_order(self):
+        fine = pl.AprioriMeasure(0.5, 0.3, 0.2)
+        bad = [pl.AprioriMeasure(0.5, 0.5 - 1e-12, 1e-12),
+               pl.AprioriMeasure(1e-12, 0.3, 0.7 - 1e-12)]
+        alone = [_census_or_error(2.0, a.array) for a in bad]
+        assert all(isinstance(e, str) for e in alone) and len(set(alone)) == 2
+        for first, second in ((0, 1), (1, 0)):
+            with pytest.raises(pl.NumericalError) as caught:
+                pl.censuses(2.0, [fine, bad[first], fine, bad[second]])
+            assert str(caught.value) == alone[first]
+
+    def test_empty_and_single(self):
+        assert pl.censuses(2.6, []) == ()
+        params = pl.ModelParams(2.6, pl.AprioriMeasure(0.2, 0.3, 0.5))
+        (got,) = pl.censuses(2.6, [params.alpha])
+        assert _bits(got) == _bits(pl.census(params))
+        with pytest.raises(pl.DomainError):
+            pl.censuses(0.0, [params.alpha])
+
+
+def test_census_leaves_numpy_ma_unimported():
+    """The census finds its distinct samples without ``np.unique``, whose
+    first call imports ``numpy.ma``."""
+    code = ("import sys; import potts_landscape as pl; "
+            "pl.census(pl.ModelParams(2.6, pl.AprioriMeasure(0.5, 0.3, 0.2)));"
+            " print('numpy.ma' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pl.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
