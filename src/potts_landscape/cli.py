@@ -26,7 +26,7 @@ from .maxwell import (BETA_BUTTERFLY, BETA_ELLIS_WANG, _segment_to_triple,
 from .model import (DEFAULT_TOL, AprioriMeasure, CoordPQ, ModelParams,
                     _check_beta, batch_free_energy, batch_from_xy, batch_pq,
                     batch_uv, batch_xy, from_pq, from_uv)
-from .stationary import PointKind, census, censuses
+from .stationary import MinimaCensus, PointKind, _census_batch, census
 
 SQRT3 = math.sqrt(3.0)
 # Float flags that must be finite and positive wherever a subcommand has them.
@@ -139,15 +139,21 @@ def _slice_records(curves):
 def label_slice_cells(beta, curves, extent, resolution=512, tol=DEFAULT_TOL):
     """Census label per cell of the slice arrangement inside the window.
 
-    Returns a list of (region, n_local_minima or None)."""
+    Returns a list of (region, n_local_minima or None): None where the
+    cell is unresolved or its probe census fails."""
     from .regions import label_regions
     polylines = [batch_pq(c.alpha) for c in curves]
     window = (-extent, extent, -extent, extent)
     regions = label_regions(polylines, window, resolution)
-    counts = iter(cens.n_local_minima for cens in censuses(
-        beta, [from_pq(CoordPQ(*r.probe)) for r in regions if r.resolved],
-        tol=tol))
-    return [(r, next(counts) if r.resolved else None) for r in regions]
+    results = iter(_census_batch(
+        [ModelParams(beta, from_pq(CoordPQ(*r.probe)))
+         for r in regions if r.resolved], tol))
+    labelled = []
+    for r in regions:
+        cens = next(results) if r.resolved else None
+        labelled.append((r, cens.n_local_minima
+                         if isinstance(cens, MinimaCensus) else None))
+    return labelled
 
 
 def cmd_slice(args) -> int:

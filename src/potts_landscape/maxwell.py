@@ -17,8 +17,9 @@ the triple point on the same system, sweeping one state coordinate per
 step (the dominant tangent component, which is the first component of the
 symmetric-side minimizer wherever that parametrization is well posed);
 the initial-value-problem form of the curve is used only as a tangent
-cross-check in the tests.  Where the pair merges at a cusp of the
-bifurcation set the curve ends on the exact A3 point.
+cross-check in the tests.  The curve leaves on the side the S3 symmetry
+picks and ends on the exact A3 point, where the pair merges at a cusp, or
+on the triple point mirrored onto the next axis (Ellis & Wang 1990).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class CoexistenceCurve:
     beta: float
     points: tuple          # CoexistencePoint, each with the tracked (mu, nu)
     origin: CoexistencePoint
-    status: str            # 'fold' | 'boundary' | 'stalled' | 'max-steps'
+    status: str  # 'fold' | 'triple' | 'boundary' | 'stalled' | 'max-steps'
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class AxisSegment:
         return self.y_hi <= self.y_lo
 
     def alpha_at(self, y: float) -> AprioriMeasure:
-        return AprioriMeasure.from_array(batch_from_xy([0.0, float(y)]))
+        return _axis_field(y)
 
     def sample_ys(self, n: int, inset: float = 0.02) -> np.ndarray:
         span = self.y_hi - self.y_lo
@@ -385,12 +386,12 @@ def coexistence_curve(beta: float, step: float = 0.005,
     field-free system: the curve tangent (nullspace of the 3x4 Jacobian
     over both minimizers' local coordinates) picks the sweep coordinate to
     freeze per step, which keeps the sweep well-posed where the first
-    component of the symmetric-side minimizer turns around.  The starting
-    direction is the one whose points carry the tracked pair as the global
-    minimizers (census probe); the opposite direction continues a
-    metastable branch.  The probe and the opening steps are shorter than
-    ``step`` where the triple point's geometry asks for it (see
-    ``h_open``); later steps double back up to ``step``.  Termination:
+    component of the symmetric-side minimizer turns around.  It leaves the
+    triple point where the field's x grows: f(nu) - f(swap12 nu) =
+    -(nu1 - nu2) log(a1/a2), so only there is the tracked pair, nu with
+    x > 0, global.  The opening steps are shorter than ``step`` where the
+    triple point's geometry asks for it (see ``h_open``); later steps
+    double back up to ``step``.  Termination:
 
     - 'fold': the pair merges into a cusp of the bifurcation set.  Once a
       tracked minimizer's smallest Hessian eigenvalue is down to
@@ -398,6 +399,9 @@ def coexistence_curve(beta: float, step: float = 0.005,
       residual no longer pins the positions to within their gap, so the
       curve stops there and its last point is the exact A3 cusp point
       (``_cusp_point``) with both minimizer slots set to it;
+    - 'triple': from (a, a, c), c < a, a step reaches a1 <= a3; its last
+      point is the mirrored triple point (a, c, a), with the two of its
+      minimizers nearest to the tracked pair;
     - 'boundary': one minimizer of a well separated pair loses minimality;
     - 'stalled': a persistent corrector failure after step halving.
     """
@@ -445,43 +449,15 @@ def coexistence_curve(beta: float, step: float = 0.005,
         t = _pair_tangent(beta, w)
         return t if float(np.dot(t, reference)) >= 0.0 else -t
 
-    def probe_direction(t0):
-        """Walk a few steps and accept the orientation only if the tracked
-        pair is precisely the global minimizer set there."""
-        w = w_start.copy()
-        t = t0
-        for _ in range(4):
-            got = attempt(w, t, h_open)
-            if got is None or isinstance(got, str):
-                return None
-            w = got
-            t = oriented_tangent(w, t)
-        mu, nu = _pair_from_state(w)
-        alpha = AprioriMeasure.from_array(batch_catastrophe(beta, nu))
-        cens = census(ModelParams(beta, alpha), tol=tol)
-        if len(cens.global_minimizers) != 2:
-            return None
-        found = np.stack([p.nu.array for p in cens.global_minimizers])
-        for tracked in (mu, nu):
-            if np.abs(found - tracked).max(axis=1).min() > 1e-6:
-                return None
-        return True
-
-    t_base = _pair_tangent(beta, w_start)
-    t_first = None
-    for t0 in (t_base, -t_base):
-        if probe_direction(t0):
-            t_first = t0
-            break
-    if t_first is None:
-        raise NumericalError(
-            f"could not leave the triple point at beta = {beta}")
+    # the side where the field's x-coordinate, so chi1 - chi2, grows
+    _, dchi = _sv_chi_derivs(beta, asym)
+    tangent = _pair_tangent(beta, w_start)
+    if float((dchi[0] - dchi[1]) @ tangent[2:]) < 0.0:
+        tangent = -tangent
 
     points = []
 
-    def emit(mu, nu):
-        alpha = batch_catastrophe(beta, nu)
-        depth = float(batch_stationary_value(beta, nu))
+    def emit(alpha, mu, nu, depth):
         points.append(CoexistencePoint(
             beta=beta, alpha=AprioriMeasure.from_array(alpha),
             minimizers=(SpinDistribution.from_array(mu),
@@ -489,7 +465,6 @@ def coexistence_curve(beta: float, step: float = 0.005,
             depth=depth))
 
     w = w_start.copy()
-    tangent = t_first
     status = "max-steps"
     h, h_failed = h_open, None
     while len(points) < max_steps:
@@ -510,14 +485,24 @@ def coexistence_curve(beta: float, step: float = 0.005,
                 status = "stalled" if gap > 1e-3 else "fold"
                 break
             continue
+        mu, nu = _pair_from_state(got)
+        alpha = batch_catastrophe(beta, nu)
+        if alpha[0] <= alpha[2]:  # past the mirrored triple point
+            status = "triple"
+            mirrored = np.array([m.array for m in tp.minimizers])[:, [0, 2, 1]]
+            near = [mirrored[np.abs(mirrored - m).max(axis=1).argmin()]
+                    for m in (mu, nu)]
+            emit(tp.alpha.array[[0, 2, 1]], *near, tp.depth)
+            break
         w, h_failed = got, None
         tangent = oriented_tangent(w, tangent)
-        emit(*_pair_from_state(w))
+        emit(alpha, mu, nu, float(batch_stationary_value(beta, nu)))
         h = min(step, 2.0 * h)
     if status == "fold":
         mu, nu = _pair_from_state(w)
         cusp = _cusp_point(beta, 0.5 * (mu + nu))
-        emit(cusp, cusp)
+        emit(batch_catastrophe(beta, cusp), cusp, cusp,
+             float(batch_stationary_value(beta, cusp)))
 
     return CoexistenceCurve(beta=beta, points=tuple(points), origin=tp,
                             status=status)
@@ -573,7 +558,8 @@ def track_segment_pair(segment: AxisSegment, n: int = 40,
             seed = path[-1] if len(path) < 2 else 2.0 * path[-1] - path[-2]
             # renormalised, or rounding accumulates in the sum over samples
             seed = seed / seed.sum()
-            alpha = batch_from_xy([0.0, ys[k]])
+            field = segment.alpha_at(ys[k])
+            alpha = field.array
             got, ok = (_polish(beta, alpha[None, :], seed[None, :], tol)
                        if seed.min() > 0.0 else (None, [False]))
             if ok[0] and (hessian_eigenvalues(beta, got[0])[0]
@@ -590,7 +576,7 @@ def track_segment_pair(segment: AxisSegment, n: int = 40,
             vals = batch_free_energy(beta, alpha, np.stack([cur, mirror]))
             out[k] = CoexistencePoint(
                 beta=beta,
-                alpha=AprioriMeasure.from_array(alpha),
+                alpha=field,
                 minimizers=(SpinDistribution.from_array(cur),
                             SpinDistribution.from_array(mirror)),
                 depth=float(vals.mean()))

@@ -34,9 +34,6 @@ class ToleranceConfig:
     """Numerical tolerances used throughout the package.
 
     residual         -- gradient norm below which a point counts as stationary
-    fd_gradient      -- relative error allowed between gradient and finite
-                        differences of the free energy (step 1e-6)
-    fd_hessian       -- same for the Hessian versus gradient differences
     degenerate_eig   -- |eigenvalue| below which a stationary point is
                         classified as degenerate
     merge_radius     -- Euclidean radius in plane coordinates within which
@@ -44,20 +41,15 @@ class ToleranceConfig:
     depth            -- free-energy difference within which local minima
                         count as equally deep global minimizers
     coexistence_depth-- depth-equality tolerance for coexistence constructs
-    chi_match        -- componentwise tolerance for field-map equality in the
-                        coexistence system
     interior_margin  -- components below this are rejected by constructors
     clamp_margin     -- analysis routines clamp iterates to this margin
     """
 
     residual: float = 1e-10
-    fd_gradient: float = 1e-6
-    fd_hessian: float = 1e-5
     degenerate_eig: float = 1e-7
     merge_radius: float = 1e-7
     depth: float = 1e-9
     coexistence_depth: float = 1e-8
-    chi_match: float = 1e-10
     interior_margin: float = 1e-12
     clamp_margin: float = 1e-9
 

@@ -544,9 +544,14 @@ def _checked(result):
 def _census_of(params: ModelParams, points: list,
                tol: ToleranceConfig) -> MinimaCensus:
     """Count local minima among the classified points of one field and
-    extract the set of global minimizers."""
+    extract the set of global minimizers; a ``NumericalError`` where none
+    is a minimum or degenerate, as a minimum the census lost."""
     minima = [p for p in points if p.kind is PointKind.MINIMUM]
     degenerate = any(p.kind is PointKind.DEGENERATE for p in points)
+    if not minima and not degenerate:
+        return NumericalError(
+            f"no local minimum among the {len(points)} stationary points "
+            f"found; a minimum lies closer to an edge than can be resolved")
     # a degenerate point with a positive definite Hessian is a minimum
     # closer to a fold than the degeneracy tolerance: it can be global
     candidates = [p for p in points if p.hess_eigenvalues[0] > 0.0]

@@ -420,6 +420,26 @@ def test_census_outside_interior_exit_code(capsys):
     assert "smallest component" in lines[0] and captured.out == ""
 
 
+@pytest.mark.parametrize("beta", ["35", "40", "50"])
+def test_census_without_minimum_exit_code(capsys, beta):
+    assert run(["census", "--beta", beta, "--uv", "0,0"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+    assert "no local minimum" in lines[0] and captured.out == ""
+
+
+@pytest.mark.parametrize("beta", ["40", "100"])
+def test_label_cells_failed_probe_census_is_unknown(tmp_path, beta):
+    # the probe census of the cell fails (corner minima below resolution
+    # at 40, outside the representable interior at 100): the cell reads ?
+    out = tmp_path / "slice.svg"
+    assert run(["slice", "--beta", beta, "--format", "svg", "--label-cells",
+                "--out", str(out)]) == 0
+    labels = re.findall(r">([^<>]*)</text>", out.read_text())
+    assert "?" in labels and "0" not in labels
+
+
 @pytest.mark.parametrize("argv", [
     ["census", "--beta", "1e200", "--alpha", "0.2,0.3,0.5"],
     ["potential", "--beta", "1e200", "--format", "svg"],

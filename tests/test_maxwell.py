@@ -215,6 +215,17 @@ class TestTriplePointSweep:
             assert curve.points, beta
             assert all(np.isfinite(p.alpha.array).all()
                        and np.isfinite(p.depth) for p in curve.points)
+            # every point before the end carries the tracked pair as
+            # global minimizers: no metastable tail
+            checks = pl.censuses(beta, [p.alpha for p in curve.points[:-1]])
+            for p, cens in zip(curve.points, checks):
+                glob = cens.global_minimizers
+                found = np.stack([g.nu.array for g in glob])
+                for m in p.minimizers:
+                    assert (np.abs(found - m.array).max(axis=1).min()
+                            <= 1e-3), (beta, p.alpha)
+                assert all(abs(g.value - p.depth) <= 1e-8
+                           for g in glob), (beta, p.alpha)
 
 
 @pytest.fixture(scope="module")
@@ -301,11 +312,17 @@ class TestCoexistenceCurve:
                    and np.abs(p.nu.array - a).max() <= 1e-6
                    for p in cens.points)
 
-    def test_hexagon_regime_terminates_on_boundary(self):
+    def test_hexagon_regime_ends_at_mirrored_triple_point(self):
+        # the curve runs from the triple point to the same triple point
+        # permuted onto the next symmetry axis
         tp = pl.triple_point(2.75)
         curve = pl.coexistence_curve(2.75, step=0.005, origin=tp)
-        assert curve.status in ("boundary", "fold")
+        assert curve.status == "triple"
         assert len(curve.points) >= 5
+        end = curve.points[-1]
+        assert np.array_equal(end.alpha.array, tp.alpha.array[[0, 2, 1]])
+        cens = pl.census(pl.ModelParams(2.75, end.alpha))
+        assert len(cens.global_minimizers) == 3
 
 
 class TestBeyondFourPhase:

@@ -451,6 +451,14 @@ class TestOutsideInterior:
                                  r"9\.\d+e-14 < 1e-12$"):
             pl.census(pl.ModelParams(30.0, AUNIFORM))
 
+    @pytest.mark.parametrize("beta", [35.0, 40.0, 50.0])
+    def test_zero_field_minima_below_resolution(self, beta):
+        # 1 - nu_k of the corner minima is below double resolution, so no
+        # bracket holds them; a census of saddles and a maximum alone
+        # would report zero minima
+        with pytest.raises(pl.NumericalError, match="no local minimum"):
+            pl.census(pl.ModelParams(beta, AUNIFORM))
+
     @pytest.mark.parametrize("beta", [0.5, 2.0, 30.0])
     def test_field_on_the_margin(self, beta):
         alpha = pl.AprioriMeasure(0.5, 0.5 - 1e-12, 1e-12)
