@@ -20,9 +20,9 @@ from . import export, svg
 from .bifurcation import slice_curves, surface_patches
 from .critical import all_critical_temps
 from .errors import DomainError, NumericalError
-from .maxwell import (BETA_BUTTERFLY, BETA_ELLIS_WANG, _segment_to_triple,
-                      beyond_ellis_wang_segment, coexistence_curve,
-                      symmetric_segment, track_segment_pair, triple_point)
+from .maxwell import (BETA_ELLIS_WANG, beyond_ellis_wang_segment,
+                      coexistence_curve, symmetric_segment,
+                      track_segment_pair)
 from .model import (DEFAULT_TOL, AprioriMeasure, CoordPQ, ModelParams,
                     _check_beta, batch_free_energy, batch_from_xy, batch_pq,
                     batch_uv, batch_xy, from_pq, from_uv)
@@ -332,10 +332,17 @@ def _maxwell_section(beta, section, alpha, depth, minimizers):
 
 
 def _points_section(beta, section, points, swap=False):
-    """Columns of a section of ``CoexistencePoint``s; ``swap`` mirrors
-    fields and minimizers in their first two components."""
-    alpha = np.array([p.alpha.array for p in points]).reshape(-1, 3)
-    minimizers = [[m.array for m in p.minimizers] for p in points]
+    """Columns of a section of ``CoexistencePoint``s, read straight into
+    arrays (no array per point: a section can hold a million); ``swap``
+    mirrors fields and minimizers in their first two components."""
+    m = len(points)
+    k = len(points[0].minimizers) if m else 0
+    alpha = np.fromiter((v for p in points
+                         for v in (p.alpha.a1, p.alpha.a2, p.alpha.a3)),
+                        float, 3 * m).reshape(m, 3)
+    minimizers = np.fromiter((v for p in points for q in p.minimizers
+                              for v in (q.v1, q.v2, q.v3)),
+                             float, 3 * k * m).reshape(m, k, 3)
     if swap:
         alpha, minimizers = _swap12(alpha), _swap12(minimizers)
     return _maxwell_section(beta, section, alpha, [p.depth for p in points],
@@ -365,20 +372,11 @@ def _swap12(arr):
 def _maxwell_data(beta, step, segment_samples, tol):
     """All coexistence constructs at one inverse temperature: the records
     as a ``Table`` and the triple point (None outside (18/7, 4 log 2))."""
-    sections = []
-    triple = None
-    if beta <= 2.0:
-        return _maxwell_table(sections), triple
-
-    if BETA_BUTTERFLY < beta < BETA_ELLIS_WANG:
-        triple = triple_point(beta, tol=tol)
-        segment = _segment_to_triple(triple)
-    else:
-        segment = symmetric_segment(beta, tol=tol)
-
-    sections.append(_points_section(
+    segment = symmetric_segment(beta, tol=tol)  # empty for beta <= 2
+    triple = segment.triple
+    sections = [_points_section(
         beta, "segment",
-        track_segment_pair(segment, n=segment_samples, tol=tol)))
+        track_segment_pair(segment, n=segment_samples, tol=tol))]
 
     if triple is not None:
         sections.append(_points_section(beta, "triple", [triple]))

@@ -7,8 +7,10 @@ solve the field-free system
 
 three equations in the four local coordinates of the pair, with chi the
 catastrophe map.  On the symmetry axis with the third field component
-suppressed the coexistence set is a straight segment, whose mirror pair is
-continued from a census by polishing along the axis.  Its upper endpoint is
+suppressed the coexistence set is a straight segment.  Its mirror pair is
+one explicit curve: the member (nu1, s, 1 - nu1 - s) with nu1 the W-1
+partner of s, nu1 e^{-beta nu1} = s e^{-beta s}, solved for each sample's
+field by bisection in s (Corless et al. 1996).  Its upper endpoint is
 known in closed form up to the butterfly temperature and is the triple
 point beyond it: the system with mu held on the axis, mu = (m, m, 1 - 2m),
 three equations in (m, nu1, nu2), solved by damped Newton from census
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,13 +38,14 @@ from .model import (DEFAULT_TOL, AprioriMeasure, ModelParams,
                     SpinDistribution, ToleranceConfig, _check_beta,
                     batch_catastrophe, batch_free_energy, batch_from_xy,
                     batch_stationary_value, batch_xy, hessian_eigenvalues)
-from .stationary import (MinimaCensus, _census_batch, _checked, _polish,
-                         census)
+from .rootfind import bisect_root
+from .stationary import (MinimaCensus, _branch_values, _census_batch,
+                         _checked, census)
 
 _SWAP12 = (1, 0, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoexistencePoint:
     """One parameter point carrying its set of equal-depth minimizers."""
 
@@ -70,6 +73,8 @@ class AxisSegment:
     beta: float
     y_lo: float
     y_hi: float
+    # the triple point that ends it, where one was solved with it
+    triple: CoexistencePoint = field(default=None, init=False, compare=False)
 
     @property
     def is_empty(self) -> bool:
@@ -121,8 +126,11 @@ def symmetric_segment(beta: float, tol: ToleranceConfig = DEFAULT_TOL) -> AxisSe
 
 
 def _segment_to_triple(tp: CoexistencePoint) -> AxisSegment:
-    """The symmetric segment ending at an already solved triple point."""
-    return AxisSegment(tp.beta, -0.5, float(batch_xy(tp.alpha.array)[1]))
+    """The symmetric segment ending at an already solved triple point,
+    which it carries."""
+    segment = AxisSegment(tp.beta, -0.5, float(batch_xy(tp.alpha.array)[1]))
+    object.__setattr__(segment, "triple", tp)  # frozen, and not an argument
+    return segment
 
 
 def _axis_field(y: float) -> AprioriMeasure:
@@ -130,23 +138,41 @@ def _axis_field(y: float) -> AprioriMeasure:
     return AprioriMeasure.from_array(batch_from_xy([0.0, float(y)]))
 
 
+def _pair_member(beta: float, s) -> np.ndarray:
+    """The stationary point (nu1, s, 1 - nu1 - s) with x > 0 of an axis
+    field: nu1 is the W-1 partner of s < 1/beta,
+    nu1 e^{-beta nu1} = s e^{-beta s} (Corless et al. 1996)."""
+    nu1 = _branch_values(beta, 0.0, s, True, 1)[0]
+    return np.stack([nu1, s, 1.0 - nu1 - s], axis=-1)
+
+
+def _pair_end(beta: float, k: int, hi: float) -> float:
+    """s of the pair member with nu3 = k s: the root in (0, hi) of
+    log(b/s) = beta (b - s), b = 1 - (1 + k) s, unique for hi below
+    1/(2 + 2k), where it is convex; k = 0 at y = -1/2, 1 at zero field."""
+    return bisect_root(lambda s: (math.log((1.0 - (1 + k) * s) / s)
+                                  - beta * (1.0 - (2 + k) * s)),
+                       1e-300, hi, xtol=0.0)
+
+
 def axis_minima(beta: float, y: float, tol: ToleranceConfig = DEFAULT_TOL):
     """Split the minima at the axis point with the given y-coordinate into
     symmetric ones (first two components equal) and the pair member with
     x > 0, read off the census there.  Returns (sym, asym) as lists of
     simplex arrays."""
-    return _axis_split(census(ModelParams(beta, _axis_field(y)), tol=tol))
+    cens = census(ModelParams(beta, _axis_field(y)), tol=tol)
+    return _axis_split(p.nu for p in cens.minima)
 
 
-def _axis_split(cens: MinimaCensus):
-    """``axis_minima`` of an axis census."""
+def _axis_split(points):
+    """``axis_minima`` of ``SpinDistribution``s at an axis field."""
     sym, asym = [], []
-    for p in cens.minima:
-        x = float(batch_xy(p.nu.array)[0])
+    for p in points:
+        x = float(batch_xy(p.array)[0])
         if abs(x) <= 1e-7:
-            sym.append(p.nu.array)
+            sym.append(p.array)
         elif x > 0.0:
-            asym.append(p.nu.array)
+            asym.append(p.array)
     return sym, asym
 
 
@@ -183,7 +209,7 @@ def triple_point(beta: float,
                            for y in _TRIPLE_SEED_YS], tol)
     syms, asyms = [], []
     for cens in seeds:
-        sym, asym = _axis_split(_checked(cens))
+        sym, asym = _axis_split(p.nu for p in _checked(cens).minima)
         # pair the new minima with each other and with those seen before
         pairs = [(s, a) for s in syms for a in asym]
         pairs += [(s, a) for s in sym for a in asyms + asym]
@@ -215,9 +241,8 @@ def _global_triple(beta: float, w: np.ndarray, tol: ToleranceConfig):
             or np.abs([p.nu.array for p in found] - minimizers).max() > 1e-6):
         return None
     return CoexistencePoint(
-        beta=beta, alpha=alpha,
-        minimizers=tuple(SpinDistribution.from_array(m) for m in minimizers),
-        depth=float(values.mean()))
+        beta, alpha, tuple(map(SpinDistribution.from_array, minimizers)),
+        float(values.mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +277,7 @@ def _sv_chi_derivs(beta: float, w: np.ndarray):
     dT = np.array([tp[0] - tp[2], tp[1] - tp[2]])
     dsv = beta * (w[:2] - w[2]) + dT / T
     # d t_i / d w_a in local coordinates is delta_{ia} tp_i for i in {0, 1}
-    dchi = np.empty((2, 2))
-    for i in range(2):
-        dti = np.zeros(2)
-        dti[i] = tp[i]
-        dchi[i] = (dti * T - t[i] * dT) / (T * T)
+    dchi = (np.diag(tp[:2]) * T - np.outer(t[:2], dT)) / (T * T)
     return dsv, dchi
 
 
@@ -265,14 +286,8 @@ def _pair_jacobian(beta: float, w: np.ndarray) -> np.ndarray:
     mu, nu = _pair_from_state(w)
     dsv_mu, dchi_mu = _sv_chi_derivs(beta, mu)
     dsv_nu, dchi_nu = _sv_chi_derivs(beta, nu)
-    jac = np.zeros((3, 4))
-    jac[0, :2] = dsv_mu
-    jac[1, :2] = dchi_mu[0]
-    jac[2, :2] = dchi_mu[1]
-    jac[0, 2:] = -dsv_nu
-    jac[1, 2:] = -dchi_nu[0]
-    jac[2, 2:] = -dchi_nu[1]
-    return jac
+    return np.hstack([np.vstack([dsv_mu, dchi_mu]),
+                      -np.vstack([dsv_nu, dchi_nu])])
 
 
 def _pair_tangent(beta: float, w: np.ndarray) -> np.ndarray:
@@ -364,12 +379,6 @@ def _cusp_point(beta: float, seed: np.ndarray, max_iter: int = 50):
     return nu
 
 
-def _min_eig_pair(beta: float, w: np.ndarray) -> float:
-    mu, nu = _pair_from_state(w)
-    eigs = hessian_eigenvalues(beta, np.stack([mu, nu]))
-    return float(eigs[:, 0].min())
-
-
 def _pair_gap(w: np.ndarray) -> float:
     mu, nu = _pair_from_state(w)
     return float(np.linalg.norm(mu - nu))
@@ -410,10 +419,7 @@ def coexistence_curve(beta: float, step: float = 0.005,
         raise DomainError(f"step must lie in (1e-5, 1e-1], got {step}")
     tp = origin if origin is not None else triple_point(beta, tol=tol)
 
-    sym = next(p.array for p in tp.minimizers
-               if abs(float(batch_xy(p.array)[0])) <= 1e-7)
-    asym = next(p.array for p in tp.minimizers
-                if float(batch_xy(p.array)[0]) > 1e-7)
+    (sym,), (asym,) = _axis_split(tp.minimizers)
     w_start = np.array([sym[0], sym[1], asym[0], asym[1]])
     # next to the butterfly point the curve is about half a pair gap long,
     # and next to the four-phase temperature it meets the neighbouring
@@ -441,13 +447,10 @@ def coexistence_curve(beta: float, step: float = 0.005,
         # a minimizer annihilating against a saddle ends the curve on the
         # bifurcation set; eigenvalues also vanish when the pair merges
         # into a cusp
-        if _min_eig_pair(beta, w_new) <= tol.degenerate_eig:
+        if (hessian_eigenvalues(beta, np.stack([mu_n, nu_n]))[:, 0].min()
+                <= tol.degenerate_eig):
             return "boundary" if gap_new > 1e-3 else "fold"
         return w_new
-
-    def oriented_tangent(w, reference):
-        t = _pair_tangent(beta, w)
-        return t if float(np.dot(t, reference)) >= 0.0 else -t
 
     # the side where the field's x-coordinate, so chi1 - chi2, grows
     _, dchi = _sv_chi_derivs(beta, asym)
@@ -459,10 +462,9 @@ def coexistence_curve(beta: float, step: float = 0.005,
 
     def emit(alpha, mu, nu, depth):
         points.append(CoexistencePoint(
-            beta=beta, alpha=AprioriMeasure.from_array(alpha),
-            minimizers=(SpinDistribution.from_array(mu),
-                        SpinDistribution.from_array(nu)),
-            depth=depth))
+            beta, AprioriMeasure.from_array(alpha),
+            (SpinDistribution.from_array(mu), SpinDistribution.from_array(nu)),
+            depth))
 
     w = w_start.copy()
     status = "max-steps"
@@ -495,7 +497,8 @@ def coexistence_curve(beta: float, step: float = 0.005,
             emit(tp.alpha.array[[0, 2, 1]], *near, tp.depth)
             break
         w, h_failed = got, None
-        tangent = oriented_tangent(w, tangent)
+        t = _pair_tangent(beta, w)
+        tangent = t if float(np.dot(t, tangent)) >= 0.0 else -t
         emit(alpha, mu, nu, float(batch_stationary_value(beta, nu)))
         h = min(step, 2.0 * h)
     if status == "fold":
@@ -532,56 +535,52 @@ def beyond_ellis_wang_segment(beta: float,
                                   uniform_census=cens)
 
 
+@np.errstate(invalid="ignore")  # NaN in a _lambert_log branch np.where drops
 def track_segment_pair(segment: AxisSegment, n: int = 40,
                        tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """Sample the axis segment and attach the mirror pair of global
-    minimizers to each sample, continued from the census at the midpoint:
-    each sample polishes the secant extrapolation of the previous two, or
-    reads the nearest pair member off the census there if the samples are
-    too far apart for the polish."""
+    minimizers to each sample: the member ``_pair_member(beta, s)`` whose
+    field's y is the sample's, for all samples in one bisection in s.  On
+    the bracket y rises strictly from -1/2 (nu3 = 0) to the upper end: the
+    pair's merge point s = 1/beta up to 18/7, the triple point's member up
+    to 4 log 2, the zero-field state beyond; past it y turns back.  The
+    census at the middle sample checks the member there."""
     if segment.is_empty:
         return []
     beta = segment.beta
     ys = segment.sample_ys(n)
-    mid = n // 2
-    _, asym = axis_minima(beta, float(ys[mid]), tol)
-    if not asym:
-        raise NumericalError(
-            f"no mirror pair found at the segment midpoint, beta = {beta}")
+    if segment.y_hi == 0.0:
+        top = _pair_end(beta, 1, 0.2)
+    elif beta <= BETA_BUTTERFLY:
+        top = 1.0 / beta
+    else:
+        tp = segment.triple or triple_point(beta, tol=tol)
+        top = _axis_split(tp.minimizers)[1][0][1]
+    s_lo = np.full(n, _pair_end(beta, 0, 1.0 / beta))
+    s_hi = np.full(n, top)
+    for _ in range(60):  # from a bracket narrower than 1/2 to rounding
+        mid = 0.5 * (s_lo + s_hi)
+        below = batch_xy(batch_catastrophe(beta, _pair_member(beta, mid))
+                         )[:, 1] < ys
+        s_lo = np.where(below, mid, s_lo)
+        s_hi = np.where(below, s_hi, mid)
+    alphas = batch_from_xy(np.stack([np.zeros(n), ys], axis=-1))
+    members = _pair_member(beta, 0.5 * (s_lo + s_hi))
+    # nu3 once more as the W0 partner of s in the sample's field: 1 - nu1 - s
+    # keeps only its absolute precision, too little where nu3 is small
+    members[:, 2] = _branch_values(beta, np.log(alphas[:, 2] / alphas[:, 1]),
+                                   members[:, 1], False, 1)[0]
 
-    out: dict = {}
+    k = n // 2
+    _, asym = axis_minima(beta, float(ys[k]), tol)
+    if not any(np.abs(a - members[k]).max() <= 1e-6 for a in asym):
+        raise NumericalError(f"the segment's pair member at y = "
+                             f"{float(ys[k])!r} is no census minimum, "
+                             f"beta = {beta}")
 
-    def walk(indices, path):
-        """Extend ``path``, the pair member at the samples before
-        ``indices``, over ``indices`` while the pair exists."""
-        for k in indices:
-            seed = path[-1] if len(path) < 2 else 2.0 * path[-1] - path[-2]
-            # renormalised, or rounding accumulates in the sum over samples
-            seed = seed / seed.sum()
-            field = segment.alpha_at(ys[k])
-            alpha = field.array
-            got, ok = (_polish(beta, alpha[None, :], seed[None, :], tol)
-                       if seed.min() > 0.0 else (None, [False]))
-            if ok[0] and (hessian_eigenvalues(beta, got[0])[0]
-                          > tol.degenerate_eig):
-                cur = got[0]
-            else:
-                # too long a step for the polish: the census there
-                _, pair = axis_minima(beta, float(ys[k]), tol)
-                if not pair:
-                    break
-                cur = min(pair, key=lambda m: np.abs(m - seed).max())
-            path.append(cur)
-            mirror = cur[list(_SWAP12)]
-            vals = batch_free_energy(beta, alpha, np.stack([cur, mirror]))
-            out[k] = CoexistencePoint(
-                beta=beta,
-                alpha=field,
-                minimizers=(SpinDistribution.from_array(cur),
-                            SpinDistribution.from_array(mirror)),
-                depth=float(vals.mean()))
-        return path
-
-    up = walk(range(mid, n), [asym[0]])
-    walk(range(mid - 1, -1, -1), (up[1:3] or [asym[0]])[::-1])
-    return [out[k] for k in sorted(out)]
+    pairs = np.stack([members, members[:, list(_SWAP12)]], axis=1)
+    depths = batch_free_energy(beta, alphas[:, None], pairs).mean(axis=1)
+    return [CoexistencePoint(beta, AprioriMeasure.from_array(a),
+                             tuple(map(SpinDistribution.from_array, p)),
+                             float(d))
+            for a, p, d in zip(alphas, pairs, depths)]

@@ -70,7 +70,7 @@ def _validate_simplex(kind: str, c1: float, c2: float, c3: float,
                           f"(components >= {margin}), got ({c1}, {c2}, {c3})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpinDistribution:
     """Empirical spin distribution: an interior point of the unit simplex."""
 
@@ -98,7 +98,7 @@ class SpinDistribution:
         return cls(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AprioriMeasure:
     """External field expressed as an interior a-priori measure."""
 

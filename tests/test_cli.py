@@ -530,9 +530,24 @@ class TestMaxwellCommand:
         uniform = next(r for r in recs if r["section"] == "uniform")
         assert uniform["n_minimizers"] == 3
 
+    @pytest.mark.parametrize("beta", ["2.5715", "2.57151", "2.5716"])
+    def test_empty_coexistence_curve(self, tmp_path, beta):
+        # the curve from the triple point ends before its first point: the
+        # curve and its mirror are written as empty sections
+        out = tmp_path / "maxwell.csv"
+        assert run(["maxwell", "--beta", beta, "--out", str(out)]) == 0
+        _, recs = read_csv(str(out))
+        sections = [r["section"] for r in recs]
+        assert {"segment", "triple"} <= set(sections)
+        assert sections.count("curve") == sections.count("curve_mirror")
+        for rec in recs:
+            for value in rec.values():
+                if isinstance(value, float):
+                    assert math.isfinite(value), rec
+
     def test_many_segment_samples(self, tmp_path):
-        """The segment walk renormalises its secant seeds, so rounding does
-        not accumulate in the components' sum over thousands of samples."""
+        """Thousands of segment samples, each solved on the explicit curve
+        of the pair member, give as many finite records."""
         out = tmp_path / "maxwell.csv"
         assert run(["maxwell", "--beta", "2.4", "--segment-samples", "5000",
                     "--out", str(out)]) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import potts_landscape as pl
+import potts_landscape.maxwell as mw
 from potts_landscape.maxwell import (axis_minima, ivp_tangent,
                                      segment_upper_endpoint_y,
                                      track_segment_pair)
@@ -56,6 +57,39 @@ class TestSymmetricSegment:
             va = pl.free_energy(params, pt.minimizers[0])
             vb = pl.free_energy(params, pt.minimizers[1])
             assert abs(va - vb) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [2.2, 2.4, 2.6, 2.7, 2.75, 3.0, 4.0])
+    def test_segment_pair_is_the_census_global_set(self, beta):
+        # one independent census batch over every sample: its global
+        # minimizers are exactly the member and its mirror
+        pts = track_segment_pair(pl.symmetric_segment(beta), n=40)
+        assert len(pts) == 40
+        tol = pl.DEFAULT_TOL
+        for pt, cens in zip(pts, pl.censuses(beta, [p.alpha for p in pts])):
+            found = np.array([p.nu.array for p in cens.global_minimizers])
+            pair = np.array([m.array for m in pt.minimizers])
+            assert len(found) == 2
+            assert np.abs(found[np.argsort(found[:, 0])]
+                          - pair[np.argsort(pair[:, 0])]).max() <= 1e-9
+            for p in cens.global_minimizers:
+                assert abs(p.value - pt.depth) <= tol.depth
+
+    @pytest.mark.parametrize("n", [2, 10, 40, 5000])
+    def test_segment_pair_takes_one_census(self, monkeypatch, n):
+        calls = []
+        for name in ("census", "_census_batch"):
+            def counted(*args, _f=getattr(mw, name), **kwargs):
+                calls.append(name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(mw, name, counted)
+        pts = track_segment_pair(pl.symmetric_segment(2.4), n=n)
+        assert len(pts) == n
+        assert len(calls) == 1
+
+    def test_segment_pair_refused_without_census_minimum(self, monkeypatch):
+        monkeypatch.setattr(mw, "axis_minima", lambda *args: ([], []))
+        with pytest.raises(pl.NumericalError, match="no census minimum"):
+            track_segment_pair(pl.symmetric_segment(2.4), n=10)
 
 
 class TestAxisStructure:
