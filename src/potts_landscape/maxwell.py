@@ -10,7 +10,7 @@ catastrophe map.  On the symmetry axis with the third field component
 suppressed the coexistence set is a straight segment.  Its mirror pair is
 one explicit curve: the member (nu1, s, 1 - nu1 - s) with nu1 the W-1
 partner of s, nu1 e^{-beta nu1} = s e^{-beta s}, solved for each sample's
-field by bisection in s (Corless et al. 1996).  Its upper endpoint is
+field by Newton steps in s (Corless et al. 1996).  Its upper endpoint is
 known in closed form up to the butterfly temperature and is the triple
 point beyond it: the system with mu held on the axis, mu = (m, m, 1 - 2m),
 three equations in (m, nu1, nu2), solved by damped Newton from census
@@ -39,8 +39,8 @@ from .model import (DEFAULT_TOL, AprioriMeasure, ModelParams,
                     batch_catastrophe, batch_free_energy, batch_from_xy,
                     batch_stationary_value, batch_xy, hessian_eigenvalues)
 from .rootfind import bisect_root
-from .stationary import (MinimaCensus, _branch_values, _census_batch,
-                         _checked, census)
+from .stationary import (MinimaCensus, _bracketed_halley, _branch_values,
+                         _census_batch, _checked, census)
 
 _SWAP12 = (1, 0, 2)
 
@@ -138,12 +138,19 @@ def _axis_field(y: float) -> AprioriMeasure:
     return AprioriMeasure.from_array(batch_from_xy([0.0, float(y)]))
 
 
-def _pair_member(beta: float, s) -> np.ndarray:
-    """The stationary point (nu1, s, 1 - nu1 - s) with x > 0 of an axis
-    field: nu1 is the W-1 partner of s < 1/beta,
-    nu1 e^{-beta nu1} = s e^{-beta s} (Corless et al. 1996)."""
-    nu1 = _branch_values(beta, 0.0, s, True, 1)[0]
-    return np.stack([nu1, s, 1.0 - nu1 - s], axis=-1)
+def _segment_y(beta: float, s):
+    """The y-coordinate of the field at the pair member
+    (nu1, s, 1 - nu1 - s) with x > 0 of an axis field, and its s-derivative:
+    nu1 is the W-1 partner of s < 1/beta, nu1 e^{-beta nu1} = s e^{-beta s}
+    (Corless et al. 1996), and y = (r - 1)/(r + 2) for the field ratio
+    r = alpha3/alpha2 = (nu3/s) e^{beta (s - nu3)}, written to stay finite
+    where nu3 = 0."""
+    nu1, dnu1 = _branch_values(beta, 0.0, s, True, 2)
+    nu3, dnu3 = 1.0 - nu1 - s, -1.0 - dnu1
+    e = np.exp(beta * (s - nu3)) / s
+    r = nu3 * e
+    dr = e * (dnu3 + beta * nu3 * (1.0 - dnu3) - nu3 / s)
+    return (r - 1.0) / (r + 2.0), 3.0 * dr / (r + 2.0) ** 2
 
 
 def _pair_end(beta: float, k: int, hi: float) -> float:
@@ -535,16 +542,17 @@ def beyond_ellis_wang_segment(beta: float,
                                   uniform_census=cens)
 
 
-@np.errstate(invalid="ignore")  # NaN in a _lambert_log branch np.where drops
 def track_segment_pair(segment: AxisSegment, n: int = 40,
                        tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """Sample the axis segment and attach the mirror pair of global
-    minimizers to each sample: the member ``_pair_member(beta, s)`` whose
-    field's y is the sample's, for all samples in one bisection in s.  On
-    the bracket y rises strictly from -1/2 (nu3 = 0) to the upper end: the
-    pair's merge point s = 1/beta up to 18/7, the triple point's member up
-    to 4 log 2, the zero-field state beyond; past it y turns back.  The
-    census at the middle sample checks the member there."""
+    minimizers to each sample: the pair member whose field's y
+    (``_segment_y``) is the sample's.  In s = nu2, y rises strictly from -1/2
+    (nu3 = 0) to the upper end: the pair's merge point s = 1/beta up to
+    18/7, the triple point's member up to 4 log 2, the zero-field state
+    beyond; past it y turns back.  The curve on a grid over that bracket
+    brackets every sample, and Newton steps from the cubic Hermite start in
+    its cell (``_bracketed_halley``) solve all samples at once.  The census
+    at the middle sample checks the member there."""
     if segment.is_empty:
         return []
     beta = segment.beta
@@ -556,20 +564,32 @@ def track_segment_pair(segment: AxisSegment, n: int = 40,
     else:
         tp = segment.triple or triple_point(beta, tol=tol)
         top = _axis_split(tp.minimizers)[1][0][1]
-    s_lo = np.full(n, _pair_end(beta, 0, 1.0 / beta))
-    s_hi = np.full(n, top)
-    for _ in range(60):  # from a bracket narrower than 1/2 to rounding
-        mid = 0.5 * (s_lo + s_hi)
-        below = batch_xy(batch_catastrophe(beta, _pair_member(beta, mid))
-                         )[:, 1] < ys
-        s_lo = np.where(below, mid, s_lo)
-        s_hi = np.where(below, s_hi, mid)
+    # cosine-spaced, denser towards both ends, which it keeps exactly
+    g = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 64)))
+    grid = (1.0 - g) * _pair_end(beta, 0, 1.0 / beta) + g * top
+    merge = beta <= BETA_BUTTERFLY  # top at the branch point: nu1' is 0/0
+    y, dy = _segment_y(beta, grid[:-1] if merge else grid)
+    if merge:  # where y peaks, at the closed-form end
+        y, dy = np.append(y, segment.y_hi), np.append(dy, 0.0)
+    if not (y[0] < ys[0] and ys[-1] <= y[-1]):
+        raise NumericalError(f"the segment's pair curve is not resolved in "
+                             f"double precision at beta = {beta}")
+    j = np.searchsorted(y, ys)  # y[j - 1] < ys <= y[j]
+
+    def residual(s):
+        y_s, dy_s = _segment_y(beta, s)
+        return y_s - ys, dy_s
+    s = _bracketed_halley(residual, grid[j - 1], grid[j],
+                          (y[j - 1] - ys, dy[j - 1]), (y[j] - ys, dy[j]))
+
     alphas = batch_from_xy(np.stack([np.zeros(n), ys], axis=-1))
-    members = _pair_member(beta, 0.5 * (s_lo + s_hi))
-    # nu3 once more as the W0 partner of s in the sample's field: 1 - nu1 - s
-    # keeps only its absolute precision, too little where nu3 is small
-    members[:, 2] = _branch_values(beta, np.log(alphas[:, 2] / alphas[:, 1]),
-                                   members[:, 1], False, 1)[0]
+    # nu1 the W-1 partner of s, nu3 its W0 partner in the sample's field:
+    # 1 - nu1 - s keeps only absolute precision, too little for a small nu3
+    log_r = np.stack([np.zeros(n), np.log(alphas[:, 2] / alphas[:, 1])])
+    with np.errstate(invalid="ignore"):  # NaN in a branch np.where drops
+        nu1, nu3 = _branch_values(beta, log_r, s, np.array([[True], [False]]),
+                                  1)[0]
+    members = np.stack([nu1, s, nu3], axis=-1)
 
     k = n // 2
     _, asym = axis_minima(beta, float(ys[k]), tol)

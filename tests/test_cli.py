@@ -556,6 +556,28 @@ class TestMaxwellCommand:
         assert all(math.isfinite(v) for r in recs for v in r.values()
                    if isinstance(v, float))
 
+    @pytest.mark.parametrize("beta", ["2.0001", "2.05", repr(18 / 7), "2.5715",
+                                      repr(pl.BETA_ELLIS_WANG), "20",
+                                      "40", "200"])
+    def test_segment_ends_without_warning(self, capsys, beta):
+        """Finite records, or one error line and exit 3 where the pair
+        curve's s-range is below double resolution; no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["maxwell", "--beta", beta, "--segment-samples", "8"])
+        captured = capsys.readouterr()
+        if float(beta) < 30.0:
+            assert code == 0 and captured.err == ""
+            values = [v for line in captured.out.splitlines()[2:]
+                      for v in line.split(",")[3:] if v]
+            assert len(values) > 8 and all(map(math.isfinite,
+                                               map(float, values)))
+        else:
+            lines = captured.err.strip().splitlines()
+            assert code == 3 and captured.out == ""
+            assert len(lines) == 1, lines
+            assert lines[0].startswith("numerical failure:"), lines
+
     def test_empty_below_two(self, tmp_path):
         out = tmp_path / "maxwell.csv"
         assert run(["maxwell", "--beta", "1.5", "--out", str(out)]) == 0

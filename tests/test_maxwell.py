@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,15 +9,49 @@ import potts_landscape.maxwell as mw
 from potts_landscape.maxwell import (axis_minima, ivp_tangent,
                                      segment_upper_endpoint_y,
                                      track_segment_pair)
-from potts_landscape.model import (batch_from_xy, batch_hessian, batch_uv,
+from potts_landscape.model import (batch_catastrophe, batch_from_xy,
+                                   batch_gradient, batch_hessian, batch_uv,
                                    batch_xy, hessian_eigenvalues)
-from potts_landscape.stationary import (PointKind, barycentric_grid,
+from potts_landscape.stationary import (PointKind, _branch_values,
+                                        barycentric_grid,
                                         stationary_points_from_seeds)
 
 from conftest import assert_single_axis_tie
 
 AUNIFORM = pl.AprioriMeasure.uniform()
 EW = 4.0 * math.log(2.0)
+# the segment's regimes and their edges: next to beta = 2, around the
+# butterfly and four-phase temperatures, far beyond them
+SEGMENT_BETAS = (2.0001, 2.05, 2.2, 18.0 / 7.0 - 1e-9, 18.0 / 7.0 + 1e-4,
+                 2.6, 2.7, 2.75, EW - 1e-5, 3.0, 4.0, 20.0)
+SEGMENT_SAMPLES = (1, 2, 3, 40, 5000)
+
+
+@functools.cache
+def _segment(beta):
+    return pl.symmetric_segment(beta)
+
+
+def _bisection_s(segment, n):
+    """s = nu2 of each sample's pair member (nu1(s), s, 1 - nu1(s) - s),
+    nu1 the W-1 partner of s, by 60 halvings of y(chi(nu(s))) = y_k from
+    the bracket that runs from nu3 = 0 to the segment's upper member."""
+    beta, ys = segment.beta, segment.sample_ys(n)
+    if segment.y_hi == 0.0:
+        top = mw._pair_end(beta, 1, 0.2)
+    elif beta <= pl.BETA_BUTTERFLY:
+        top = 1.0 / beta
+    else:
+        top = mw._axis_split(segment.triple.minimizers)[1][0][1]
+    lo = np.full(n, mw._pair_end(beta, 0, 1.0 / beta))
+    hi = np.full(n, top)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        nu1 = _branch_values(beta, 0.0, mid, True, 1)[0]
+        member = np.stack([nu1, mid, 1.0 - nu1 - mid], axis=-1)
+        below = batch_xy(batch_catastrophe(beta, member))[:, 1] < ys
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 class TestSymmetricSegment:
@@ -85,6 +120,34 @@ class TestSymmetricSegment:
         pts = track_segment_pair(pl.symmetric_segment(2.4), n=n)
         assert len(pts) == n
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("beta", SEGMENT_BETAS)
+    def test_segment_pair_matches_bisection(self, beta):
+        """Each member's s agrees with the bisection oracle to rounding, and
+        the member is stationary in its sample's field."""
+        for n in SEGMENT_SAMPLES:
+            pts = track_segment_pair(_segment(beta), n=n)
+            alphas = np.array([p.alpha.array for p in pts])
+            pairs = np.array([[m.array for m in p.minimizers] for p in pts])
+            want = _bisection_s(_segment(beta), n)
+            assert np.all(np.abs(pairs[:, 0, 1] - want) <= 1e-13 * want), n
+            grad = batch_gradient(beta, alphas[:, None], pairs)
+            assert np.abs(grad).max() <= 1.1e-14, n
+
+    @pytest.mark.parametrize("beta", SEGMENT_BETAS)
+    def test_segment_pair_work(self, monkeypatch, beta):
+        """A grid evaluation, a few Newton steps and the members' values:
+        the curve's Lambert branches are evaluated at most 12 times."""
+        calls = []
+
+        def counted(*args, _f=mw._branch_values):
+            calls.append(np.size(args[2]))
+            return _f(*args)
+        monkeypatch.setattr(mw, "_branch_values", counted)
+        for n in SEGMENT_SAMPLES:
+            calls.clear()
+            assert len(track_segment_pair(_segment(beta), n=n)) == n
+            assert len(calls) <= 12, (n, calls)
 
     def test_segment_pair_refused_without_census_minimum(self, monkeypatch):
         monkeypatch.setattr(mw, "axis_minima", lambda *args: ([], []))

@@ -439,6 +439,44 @@ class TestRefinement:
                 ref = ref - (g - d) / np.expm1(ref)
             assert np.all(np.abs(eta - ref) <= 1e-14 * np.abs(ref)), upper
 
+    @staticmethod
+    def _cubic_roots(c, lo, hi, d_lo=None, d_hi=None):
+        """Roots of x^3 - c in [lo, hi] by ``_bracketed_halley``, in Newton
+        mode, from the true end slopes unless others are given."""
+        def fun(x):
+            return x ** 3 - c, 3.0 * x * x
+        return stationary._bracketed_halley(
+            fun, lo, hi, (lo ** 3 - c, 3.0 * lo * lo if d_lo is None else d_lo),
+            (hi ** 3 - c, 3.0 * hi * hi if d_hi is None else d_hi))
+
+    def test_halley_roots_independent_of_batch(self):
+        # wide, narrow and ill-scaled brackets
+        c = np.array([0.3, 2.0, 1e-9, 0.7, 7.0, 0.125])
+        lo = np.array([0.0, 1.0, 0.0, 0.5, 1.5, 0.5])
+        hi = np.array([1.0, 1.3, 0.01, 1.0, 2.0, 0.75])
+        together = self._cubic_roots(c, lo, hi)
+        for i in range(len(c)):
+            alone = self._cubic_roots(c[i:i + 1], lo[i:i + 1], hi[i:i + 1])
+            assert alone.tobytes() == together[i:i + 1].tobytes(), i
+        flip = self._cubic_roots(c[::-1], lo[::-1], hi[::-1])
+        assert flip[::-1].tobytes() == together.tobytes()
+        assert np.all(np.abs(together ** 3 - c) <= 1e-15 * np.maximum(c, 1.0))
+
+    @pytest.mark.parametrize("slope", [0.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_halley_converges_from_singular_end_slope(self, slope, end):
+        """An end slope of 0 or a non-finite one, as at a branch point,
+        only spoils the Hermite start; the bracket still converges."""
+        c = np.array([0.3, 0.001, 0.9])
+        lo, hi = np.zeros(3), np.ones(3)
+        want = self._cubic_roots(c, lo, hi)
+        bad = np.full(3, slope)
+        with np.errstate(invalid="ignore"):  # inf - inf in the start
+            got = self._cubic_roots(c, lo, hi, *((bad, None) if end == "lo"
+                                                 else (None, bad)))
+        assert np.all(np.abs(got - want) <= 4e-16 * want)
+        assert np.all(np.abs(got ** 3 - c) <= 1e-15)
+
 
 class TestOutsideInterior:
     """Stationary points closer to the boundary than a SpinDistribution
