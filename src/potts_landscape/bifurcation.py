@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, RemovableSingularityError
 from .model import (Permutation, PERMUTATIONS, batch_catastrophe,
-                    batch_degeneracy_lhs, batch_from_xy, batch_uv, batch_xy)
+                    batch_degeneracy_lhs, batch_from_xy, batch_pq, batch_uv)
 from .rootfind import bisect_then_newton
 
 BETA_BEAK = 8.0 / 3.0
@@ -83,6 +83,17 @@ class SurfacePatch:
     skipped: int          # grid points dropped near the corners
 
 
+def _meeting_ends(beta: float) -> list:
+    """Where ``gamma`` meets its partner root ``1 - x - gamma``: the root
+    1 - 2/beta of 2 - b(1-x) and, from 8/3 on, the two roots of
+    2 - 3 b x(1-x)."""
+    ends = [1.0 - 2.0 / beta]
+    if beta >= BETA_BEAK:
+        s8 = math.sqrt(max(1.0 - 8.0 / (3.0 * beta), 0.0))
+        ends += [0.5 - 0.5 * s8, 0.5 + 0.5 * s8]
+    return ends
+
+
 def domain_intervals(beta: float) -> DomainIntervals:
     """The exact interval case split; empty for beta <= 2.
 
@@ -93,20 +104,16 @@ def domain_intervals(beta: float) -> DomainIntervals:
     beta = float(beta)
     if beta <= 2.0:
         return DomainIntervals(beta, ())
-    r_fold = 1.0 - 2.0 / beta
+    r_fold, *quadratic = _meeting_ends(beta)
     s2 = math.sqrt(1.0 - 2.0 / beta)
     lo2, hi2 = 0.5 - 0.5 * s2, 0.5 + 0.5 * s2
     if beta < BETA_BEAK:
         ivs = [Interval(0.0, r_fold, include_hi=True), Interval(lo2, hi2)]
     else:
-        s8 = math.sqrt(max(1.0 - 8.0 / (3.0 * beta), 0.0))
-        m_lo, m_hi = 0.5 - 0.5 * s8, 0.5 + 0.5 * s8
-        if beta < 3.0:
-            ivs = [Interval(0.0, lo2), Interval(r_fold, m_lo),
-                   Interval(m_hi, hi2)]
-        else:
-            ivs = [Interval(0.0, lo2), Interval(m_lo, r_fold),
-                   Interval(m_hi, hi2)]
+        m_lo, m_hi = quadratic
+        ivs = [Interval(0.0, lo2),
+               Interval(min(r_fold, m_lo), max(r_fold, m_lo)),
+               Interval(m_hi, hi2)]
     # the middle interval collapses at beta = 3; drop rounding-width stubs
     return DomainIntervals(beta, tuple(iv for iv in ivs if iv.length > 1e-12))
 
@@ -117,11 +124,7 @@ def discriminant_roots(beta: float) -> list:
     beta = float(beta)
     if beta <= 2.0:
         raise DomainError(f"discriminant roots require beta > 2, got {beta}")
-    roots = [2.0 / (3.0 * beta), 1.0 - 2.0 / beta]
-    if beta >= BETA_BEAK:
-        s8 = math.sqrt(max(1.0 - 8.0 / (3.0 * beta), 0.0))
-        roots += [0.5 - 0.5 * s8, 0.5 + 0.5 * s8]
-    return sorted(roots)
+    return sorted([2.0 / (3.0 * beta)] + _meeting_ends(beta))
 
 
 def _gamma_unchecked(beta: float, x) -> np.ndarray:
@@ -199,6 +202,53 @@ def slice_curves(beta: float, samples_per_interval: int = 400) -> list:
                                      nu=perm.apply(nu),
                                      alpha=perm.apply(alpha)))
     return curves
+
+
+def fold_lines_nu(curves) -> list:
+    """Simplex points (n, 3) of the slice's fold lines, one polyline per
+    line.
+
+    The slice is S3-symmetric and every degenerate point has its first
+    component in the interval domain, so the identity branch of
+    ``slice_curves`` and its (2 3) swap trace the whole fold set, which the
+    six branches trace three times.  On each interval the identity runs
+    forward and the swap back, joined through the exact point
+    (e, (1-e)/2, (1-e)/2) at each end e where the two roots meet; with both
+    ends meeting the line is a closed loop.  An end where a component runs
+    to the simplex edge stays open, so an interval open at both ends gives
+    two lines.
+    """
+    if not curves:
+        return []
+    beta = curves[0].beta
+    meets = _meeting_ends(beta)
+    base = {c.interval_index: c for c in curves if c.branch.indices == (0, 1, 2)}
+    lines = []
+    for k, iv in enumerate(domain_intervals(beta).intervals):
+        # a sampled meeting end (an included hi) gives way to the exact one
+        fwd = base[k].nu[~np.isin(base[k].x_param, meets)]
+        back = fwd[::-1, [0, 2, 1]]
+        lo, hi = ([[e, 0.5 - 0.5 * e, 0.5 - 0.5 * e]] if e in meets else None
+                  for e in (iv.lo, iv.hi))
+        if lo and hi:
+            lines.append(np.concatenate([lo, fwd, hi, back, lo]))
+        elif hi:
+            lines.append(np.concatenate([fwd, hi, back]))
+        elif lo:
+            lines.append(np.concatenate([back, lo, fwd]))
+        else:
+            lines += [fwd, back]
+    return lines
+
+
+def fold_lines_pq(curves) -> list:
+    """Field-plane (p, q) polylines of the slice's fold lines
+    (``fold_lines_nu``), one per line."""
+    lines = fold_lines_nu(curves)
+    if not lines:
+        return []
+    pq = batch_pq(batch_catastrophe(curves[0].beta, np.concatenate(lines)))
+    return np.split(pq, np.cumsum([len(line) for line in lines[:-1]]))
 
 
 def surface_patches(grid_density: int = 64, beta_cap: float = 1e8):
@@ -346,7 +396,6 @@ def butterfly_expansion(beta: float, step: float = 1e-3) -> ButterflyCoefficient
 
 def slice_points_pq(curves) -> np.ndarray:
     """Concatenated field-plane coordinates of a list of slice curves."""
-    from .model import batch_pq
     return np.concatenate([batch_pq(c.alpha) for c in curves], axis=0)
 
 

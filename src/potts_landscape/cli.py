@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import export, svg
-from .bifurcation import slice_curves, surface_patches
+from .bifurcation import fold_lines_pq, slice_curves, surface_patches
 from .critical import all_critical_temps
 from .errors import DomainError, NumericalError
 from .maxwell import (BETA_ELLIS_WANG, beyond_ellis_wang_segment,
@@ -137,12 +137,17 @@ def _slice_records(curves):
 
 
 def label_slice_cells(beta, curves, extent, resolution=512, tol=DEFAULT_TOL):
-    """Census label per cell of the slice arrangement inside the window.
+    """Census label per cell of the slice arrangement inside the window,
+    with the slice curves drawn as their fold lines (``fold_lines_pq``).
 
     Returns a list of (region, n_local_minima or None): None where the
     cell is unresolved or its probe census fails."""
+    return _label_fold_cells(beta, fold_lines_pq(curves), extent, resolution,
+                             tol)
+
+
+def _label_fold_cells(beta, polylines, extent, resolution, tol):
     from .regions import label_regions
-    polylines = [batch_pq(c.alpha) for c in curves]
     window = (-extent, extent, -extent, extent)
     regions = label_regions(polylines, window, resolution)
     results = iter(_census_batch(
@@ -162,15 +167,16 @@ def cmd_slice(args) -> int:
     curves = [] if beta <= 2.0 else slice_curves(beta, args.samples)
 
     if args.format == "svg":
+        lines = fold_lines_pq(curves)
         labels = []
         if args.label_cells:
-            for region, count in label_slice_cells(
-                    beta, curves, args.extent, args.resolution, tol):
+            for region, count in _label_fold_cells(
+                    beta, lines, args.extent, args.resolution, tol):
                 text = "?" if count is None else str(count)
                 labels.append((region.centroid[0], region.centroid[1], text))
         doc = svg.render_curves(
             extent=(-args.extent, args.extent, -args.extent, args.extent),
-            bifurcation=[batch_pq(c.alpha) for c in curves],
+            bifurcation=lines,
             labels=labels, title=f"bifurcation slice, beta = {beta:g}")
         with _open_out(args.out) as fh:
             fh.write(doc)
@@ -412,8 +418,7 @@ def cmd_maxwell(args) -> int:
         if triple is not None:
             p, q = batch_pq(triple.alpha.array)
             markers.append((float(p), float(q)))
-        bif = ([batch_pq(c.alpha) for c in slice_curves(beta, 400)]
-               if beta > 2.0 else [])
+        bif = fold_lines_pq(slice_curves(beta, 400)) if beta > 2.0 else []
         doc = svg.render_curves(
             extent=(-args.extent, args.extent, -args.extent, args.extent),
             bifurcation=bif, maxwell=maxwell_lines, markers=markers,

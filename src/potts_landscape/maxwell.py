@@ -590,6 +590,12 @@ def track_segment_pair(segment: AxisSegment, n: int = 40,
         nu1, nu3 = _branch_values(beta, log_r, s, np.array([[True], [False]]),
                                   1)[0]
     members = np.stack([nu1, s, nu3], axis=-1)
+    smallest = float(members.min())
+    if smallest < tol.interior_margin:
+        raise NumericalError(f"the segment's pair members leave the "
+                             f"representable interior: smallest component "
+                             f"{smallest!r} < {tol.interior_margin!r}, "
+                             f"beta = {beta}")
 
     k = n // 2
     _, asym = axis_minima(beta, float(ys[k]), tol)

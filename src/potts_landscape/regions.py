@@ -1,7 +1,8 @@
 """Cell detection in a planar curve arrangement by raster labelling.
 
-The slice curves partition the field plane into cells on which the number
-of local minima is constant.  Curves are rasterized onto a boolean grid
+The fold lines of a slice (``bifurcation.fold_lines_pq``, each drawn
+once) partition the field plane into cells on which the number of local
+minima is constant.  Curves are rasterized onto a boolean grid
 with 8-connected Bresenham lines (which 4-connected components cannot
 leak across), one polyline at a time: every pixel of every segment comes
 from the closed form of the Bresenham step, the segments are expanded

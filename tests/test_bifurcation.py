@@ -6,9 +6,10 @@ import pytest
 import potts_landscape as pl
 from potts_landscape.bifurcation import (BETA_BEAK,
                                          check_slice_consistency,
+                                         fold_lines_nu, fold_lines_pq,
                                          slice_points_pq)
 from potts_landscape.model import (batch_degeneracy_lhs, batch_gradient,
-                                   batch_uv, batch_xy)
+                                   batch_pq, batch_uv, batch_xy)
 
 from conftest import random_interior
 
@@ -180,6 +181,78 @@ class TestSliceCurves:
                 alpha = pl.from_uv(pl.CoordUV(probe[0], probe[1]))
                 counts.add(pl.census(pl.ModelParams(beta, alpha)).n_local_minima)
             assert counts == {1, 2}
+
+
+FOLD_BETAS = (2.05, 2.3, 2.6, 2.7, 2.75, 2.9, 3.0, 3.2, 4.0, 8.0)
+
+
+def meets(beta, e):
+    """Whether gamma meets its partner root 1 - x - gamma at the interval
+    end e: e = 1 - 2/beta or 2 - 3 beta e (1 - e) = 0."""
+    return e == 1.0 - 2.0 / beta or abs(2.0 - 3.0 * beta * e * (1.0 - e)) <= 1e-12
+
+
+def meeting_points(beta):
+    """The points (e, (1-e)/2, (1-e)/2) at the meeting ends e."""
+    ends = {e for iv in pl.domain_intervals(beta).intervals
+            for e in (iv.lo, iv.hi) if meets(beta, e)}
+    return [np.array([e, 0.5 - 0.5 * e, 0.5 - 0.5 * e]) for e in ends]
+
+
+class TestFoldLines:
+    @pytest.mark.parametrize("beta", FOLD_BETAS)
+    def test_vertices_are_degenerate(self, beta):
+        lines = fold_lines_nu(pl.slice_curves(beta, 400))
+        for nu in lines:
+            assert np.abs(batch_degeneracy_lhs(beta, nu)).max() <= 1e-9
+            assert (nu > 0.0).all()
+            np.testing.assert_allclose(nu.sum(axis=1), 1.0, atol=1e-15)
+
+    @pytest.mark.parametrize("beta", FOLD_BETAS)
+    def test_each_meeting_end_once(self, beta):
+        """Every meeting end is a vertex of exactly one line: once, or as
+        both ends of a closed loop."""
+        lines = fold_lines_nu(pl.slice_curves(beta, 400))
+        points = meeting_points(beta)
+        assert len(points) == (1 if beta < BETA_BEAK or beta == 3.0 else 3)
+        for point in points:
+            hits = [np.flatnonzero((nu == point).all(axis=1)).tolist()
+                    for nu in lines]
+            hits = [(k, at) for k, at in enumerate(hits) if at]
+            assert len(hits) == 1, (point, hits)
+            k, at = hits[0]
+            assert at in ([at[0]], [0, len(lines[k]) - 1]), at
+
+    @pytest.mark.parametrize("beta", FOLD_BETAS)
+    def test_no_segment_joins_open_ends(self, beta):
+        """At an open end the identity and its (2 3) swap run to different
+        simplex edges, and no segment links them: every segment is short,
+        an interval with no meeting end gives two lines, one with both
+        ends meeting a closed loop, and the lines hold a third of the six
+        branches' points."""
+        curves = pl.slice_curves(beta, 400)
+        lines = fold_lines_nu(curves)
+        n_meets = [meets(beta, iv.lo) + meets(beta, iv.hi)
+                   for iv in pl.domain_intervals(beta).intervals]
+        assert len(lines) == sum(2 if m == 0 else 1 for m in n_meets)
+        closed = [bool((nu[0] == nu[-1]).all()) for nu in lines]
+        assert closed.count(True) == n_meets.count(2)
+        for nu in lines:
+            assert np.abs(np.diff(nu, axis=0)).max() < 0.05
+        assert sum(map(len, lines)) <= sum(len(c.x_param)
+                                           for c in curves) // 3 + 5
+
+    def test_pq_is_the_field_of_nu(self):
+        for beta in (2.3, 2.9):
+            lines = fold_lines_nu(pl.slice_curves(beta, 50))
+            pq = fold_lines_pq(pl.slice_curves(beta, 50))
+            assert [len(a) for a in pq] == [len(nu) for nu in lines]
+            for nu, a in zip(lines, pq):
+                np.testing.assert_array_equal(
+                    a, batch_pq(pl.model.batch_catastrophe(beta, nu)))
+
+    def test_empty(self):
+        assert fold_lines_nu([]) == [] and fold_lines_pq([]) == []
 
 
 class TestSurfacePatches:

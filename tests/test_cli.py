@@ -9,11 +9,12 @@ import pytest
 
 import potts_landscape as pl
 import potts_landscape.cli as cli
+import potts_landscape.regions as regions
 from potts_landscape.cli import label_slice_cells, main
 from potts_landscape.export import (SCHEMAS, read_csv, read_json, write_csv,
                                     write_json)
 from potts_landscape.maxwell import track_segment_pair
-from potts_landscape.model import batch_degeneracy_lhs
+from potts_landscape.model import batch_degeneracy_lhs, batch_pq
 from potts_landscape.stationary import newton_stationary
 
 
@@ -264,6 +265,38 @@ class TestCellLabels:
         rocket_counts = [c for region, c in labelled
                          if c is not None and region.n_pixels < 30000]
         assert rocket_counts.count(2) == 3
+
+    @pytest.mark.parametrize("beta, extent, samples",
+                             [(2.3, 6.0, 400), (2.75, 0.02, 6000),
+                              (2.9, 6.0, 400), (3.2, 6.0, 400)])
+    def test_fold_lines_keep_six_branch_labels(self, beta, extent, samples):
+        """Drawn as fold lines, the slice keeps the resolved labels, in
+        order, and the number of unresolved cells of the six branches
+        drawn as they are."""
+        curves = pl.slice_curves(beta, samples)
+        six = [batch_pq(c.alpha) for c in curves]
+        for resolution in (256, 512, 1024):
+            oracle = cli._label_fold_cells(beta, six, extent, resolution,
+                                           pl.DEFAULT_TOL)
+            labelled = label_slice_cells(beta, curves, extent, resolution)
+            assert ([c for r, c in labelled if r.resolved]
+                    == [c for r, c in oracle if r.resolved])
+            assert (sum(not r.resolved for r, _ in labelled)
+                    == sum(not r.resolved for r, _ in oracle))
+
+    def test_hexagon_rasterizes_each_fold_line_once(self, monkeypatch):
+        """The six branches draw 108,000 points on the hexagon slice; the
+        fold lines a third of them."""
+        drawn = []
+        rasterize = regions.rasterize_curves
+
+        def counting(polylines, *args):
+            drawn.append(sum(map(len, polylines)))
+            return rasterize(polylines, *args)
+        monkeypatch.setattr(regions, "rasterize_curves", counting)
+        curves = pl.slice_curves(2.75, samples_per_interval=6000)
+        label_slice_cells(2.75, curves, extent=0.02, resolution=512)
+        assert len(drawn) == 1 and drawn[0] <= 36010
 
 
 class TestSurface:
@@ -576,6 +609,21 @@ class TestMaxwellCommand:
             lines = captured.err.strip().splitlines()
             assert code == 3 and captured.out == ""
             assert len(lines) == 1, lines
+            assert lines[0].startswith("numerical failure:"), lines
+
+    @pytest.mark.parametrize("beta, code", [
+        ("20", 0), ("22", 0), ("25", 3), ("28", 3), ("30", 3), ("33", 3),
+        ("36", 3), ("38", 3)])
+    def test_large_beta_exit_codes(self, capsys, beta, code):
+        """A segment pair member below the representable interior is a
+        numerical failure (exit 3, one stderr line), not bad input."""
+        assert run(["maxwell", "--beta", beta]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.err == ""
+        else:
+            lines = captured.err.strip().splitlines()
+            assert captured.out == "" and len(lines) == 1, lines
             assert lines[0].startswith("numerical failure:"), lines
 
     def test_empty_below_two(self, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import potts_landscape as pl
+from potts_landscape.bifurcation import fold_lines_pq
 from potts_landscape.model import batch_pq
 from potts_landscape.regions import (_components, _polyline_pixels,
                                      label_regions, rasterize_curves)
@@ -192,6 +193,15 @@ def test_far_end_is_clipped_to_the_grid():
 def test_slices_match_scalar_raster(beta, extent, samples, resolution):
     polylines, window = slice_window(beta, extent, samples)
     assert_same_raster(polylines, window, resolution)
+
+
+@pytest.mark.parametrize("resolution", [16, 101, 512, 600])
+@pytest.mark.parametrize("beta, extent, samples", SLICES)
+def test_fold_lines_match_scalar_raster(beta, extent, samples, resolution):
+    """The fold lines, closed loops and the exact meeting points among
+    them, drawn as the scalar loop draws them."""
+    assert_same_raster(fold_lines_pq(pl.slice_curves(beta, samples)),
+                       (-extent, extent, -extent, extent), resolution)
 
 
 def assert_runs_cover(labels, runs):
