@@ -205,8 +205,8 @@ def slice_curves(beta: float, samples_per_interval: int = 400) -> list:
 
 
 def fold_lines_nu(curves) -> list:
-    """Simplex points (n, 3) of the slice's fold lines, one polyline per
-    line.
+    """Simplex points (n, 3) of the fold lines of a slice, one polyline
+    per line, from the curves of one ``slice_curves`` call.
 
     The slice is S3-symmetric and every degenerate point has its first
     component in the interval domain, so the identity branch of
