@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, RemovableSingularityError
 from .model import (Permutation, PERMUTATIONS, batch_catastrophe,
                     batch_degeneracy_lhs, batch_from_xy, batch_pq, batch_uv)
-from .rootfind import bisect_then_newton
+from .rootfind import bracketed_root
 
 BETA_BEAK = 8.0 / 3.0
 
@@ -317,39 +317,16 @@ class ButterflyCoefficients:
     y0: float
 
 
-def _axis_cusp_root(beta: float) -> float:
-    """Negative root of 2 b^2 y^3 + 3 b (2-b) y^2 + (b-3)^2 on (-1, 0)."""
-    def cubic(y):
-        return 2 * beta ** 2 * y ** 3 + 3 * beta * (2 - beta) * y ** 2 + (beta - 3) ** 2
-
-    def dcubic(y):
-        return 6 * beta ** 2 * y ** 2 + 6 * beta * (2 - beta) * y
-
-    if not cubic(-1.0) < 0.0 < cubic(0.0):
-        raise DomainError(
-            f"cusp root of the axis cubic is not bracketed in (-1, 0) at "
-            f"beta = {beta}")
-    return bisect_then_newton(cubic, -1.0, 0.0, dcubic)
-
-
-def _locus_branch_y(beta: float, x: float, y_near: float) -> float:
-    """Solve the plane degeneracy condition for y near ``y_near``."""
-    y = y_near
-    for _ in range(100):
-        f = degenerate_locus_xy(beta, x, y)
-        # d/dy of the plane form
-        df = (12.0 * beta * y
-              + beta * beta * (2.0 * ((y - 1.0) ** 2 - 3.0 * x * x)
-                               + (2.0 * y + 1.0) * 2.0 * (y - 1.0))) / 9.0
-        if df == 0.0:
-            break
-        step = f / df
-        y -= step
-        if abs(step) < 1e-15 * max(1.0, abs(y)):
-            return y
-    if abs(degenerate_locus_xy(beta, x, y)) > 1e-10:
-        raise NumericalError(f"locus branch solve failed at x = {x}")
-    return y
+def _locus_y(beta: float, x: float) -> float:
+    """y of the degenerate locus at abscissa x next to the axis: the root
+    on (-1, 0) of the plane condition, a cubic in y whose other two roots
+    are complex at x = 0 for beta < 8/3 (see ``butterfly_expansion``)."""
+    def plane(y):
+        return (degenerate_locus_xy(beta, x, y),
+                (12.0 * beta * y
+                 + beta * beta * (2.0 * ((y - 1.0) ** 2 - 3.0 * x * x)
+                                  + (2.0 * y + 1.0) * 2.0 * (y - 1.0))) / 9.0)
+    return bracketed_root(plane, -1.0, 0.0)
 
 
 def butterfly_expansion(beta: float, step: float = 1e-3) -> ButterflyCoefficients:
@@ -367,22 +344,22 @@ def butterfly_expansion(beta: float, step: float = 1e-3) -> ButterflyCoefficient
     if not 2.0 < beta < BETA_BEAK:
         raise DomainError(
             f"butterfly expansion requires 2 < beta < 8/3, got {beta}")
-    y0 = _axis_cusp_root(beta)
+    # the on-axis cusp: at x = 0 the plane condition is 2 b^2 y^3 +
+    # 3 b (2 - b) y^2 + (b - 3)^2 = (b y - b + 3)(2 b y^2 - b y + 3 - b),
+    # whose quadratic has no real root below 8/3
+    y0 = (beta - 3.0) / beta
 
-    def uv_on_locus(x: float, y_seed: float):
-        y = _locus_branch_y(beta, x, y_seed)
-        nu = batch_from_xy([x, y])
-        return batch_uv(batch_catastrophe(beta, nu)), y
+    def uv_on_locus(x: float, y: float):
+        return batch_uv(batch_catastrophe(beta, batch_from_xy([x, y])))
 
-    base_uv, _ = uv_on_locus(0.0, y0)
+    base_uv = uv_on_locus(0.0, y0)
     s0 = 0.5 * (base_uv[0] + base_uv[1])
 
     hs = np.array([step, 2.0 * step, 4.0 * step])
     sym = np.empty(3)
     asym = np.empty(3)
-    y_seed = y0
     for k, h in enumerate(hs):
-        uv, y_seed = uv_on_locus(float(h), y_seed)
+        uv = uv_on_locus(float(h), _locus_y(beta, float(h)))
         sym[k] = 0.5 * (uv[0] + uv[1]) - s0
         asym[k] = 0.5 * (uv[1] - uv[0])
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericalError
-from .rootfind import bisect_root, bisect_then_newton
+from .rootfind import bracketed_root
 
 BETA_BUTTERFLY = 18.0 / 7.0
 BETA_ELLIS_WANG = 4.0 * math.log(2.0)
@@ -48,8 +48,9 @@ def _crossing_shape_derivative(x: float) -> float:
 def beta_cross() -> float:
     """Inverse temperature at which symmetric minima appear near the
     corners in zero field; approximately 2.74564."""
-    s = bisect_then_newton(crossing_shape_function, 0.25, 1.0 - 1e-9,
-                           _crossing_shape_derivative)
+    s = bracketed_root(lambda x: (crossing_shape_function(x),
+                                  _crossing_shape_derivative(x)),
+                       0.25, 1.0 - 1e-9)
     return 3.0 / ((1.0 + 2.0 * s) * (1.0 - s))
 
 
@@ -59,17 +60,18 @@ def touch_gap_function(x: float) -> float:
 
     Values at the endpoints are 1 - log 3 and 3/2 - log 4.
     """
-    z = math.sqrt(max(1.0 - 8.0 / (3.0 * x), 0.0))
-    z = min(z, 1.0 - 1e-16)
-    artanh = 0.5 * math.log((1.0 + z) / (1.0 - z))
-    return (math.log((x - 2.0) / 2.0) + 3.0
-            - 2.0 * artanh - (3.0 * x / 4.0) * (1.0 - z))
+    return (triangle_vertex_p(x) - fold_centre_p(x)) / math.sqrt(3.0)
+
+
+def _touch_gap_derivative(x: float) -> float:
+    return 1.0 / (x - 2.0) - 0.75 * (1.0 - math.sqrt(1.0 - 8.0 / (3.0 * x)))
 
 
 def beta_touch() -> float:
     """Inverse temperature at which the central triangle's vertices touch
     the fold lines; approximately 2.8024."""
-    return bisect_root(touch_gap_function, 8.0 / 3.0, 3.0)
+    return bracketed_root(lambda x: (touch_gap_function(x),
+                                     _touch_gap_derivative(x)), 8.0 / 3.0, 3.0)
 
 
 def triangle_vertex_p(beta: float) -> float:

@@ -12,16 +12,17 @@ one explicit curve: the member (nu1, s, 1 - nu1 - s) with nu1 the W-1
 partner of s, nu1 e^{-beta nu1} = s e^{-beta s}, solved for each sample's
 field by Newton steps in s (Corless et al. 1996).  Its upper endpoint is
 known in closed form up to the butterfly temperature and is the triple
-point beyond it: the system with mu held on the axis, mu = (m, m, 1 - 2m),
-three equations in (m, nu1, nu2), solved by damped Newton from census
-minima on the axis.  Off the axis the coexistence curve is continued from
-the triple point on the same system, sweeping one state coordinate per
-step (the dominant tangent component, which is the first component of the
-symmetric-side minimizer wherever that parametrization is well posed);
-the initial-value-problem form of the curve is used only as a tangent
-cross-check in the tests.  The curve leaves on the side the S3 symmetry
-picks and ends on the exact A3 point, where the pair merges at a cusp, or
-on the triple point mirrored onto the next axis (Ellis & Wang 1990).
+point beyond it: the first root along the curve of the depth gap between
+the member and the symmetric minimum mu = (m, m, 1 - 2m) of its field,
+one bracketed scalar root (``rootfind``).  Off the axis the coexistence
+curve is continued from the triple point on the field-free system,
+sweeping one state coordinate per step (the dominant tangent component,
+which is the first component of the symmetric-side minimizer wherever
+that parametrization is well posed); the initial-value-problem form of
+the curve is used only as a tangent cross-check in the tests.  The curve
+leaves on the side the S3 symmetry picks and ends on the exact A3 point,
+where the pair merges at a cusp, or on the triple point mirrored onto the
+next axis (Ellis & Wang 1990).
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from .model import (DEFAULT_TOL, AprioriMeasure, ModelParams,
                     SpinDistribution, ToleranceConfig, _check_beta,
                     batch_catastrophe, batch_free_energy, batch_from_xy,
                     batch_stationary_value, batch_xy, hessian_eigenvalues)
-from .rootfind import bisect_root
-from .stationary import (MinimaCensus, _bracketed_halley, _branch_values,
-                         _census_batch, _checked, census)
+from .rootfind import _bracketed_halley, bracketed_root
+from .stationary import MinimaCensus, _branch_values, census
 
 _SWAP12 = (1, 0, 2)
 
@@ -138,11 +138,11 @@ def _axis_field(y: float) -> AprioriMeasure:
     return AprioriMeasure.from_array(batch_from_xy([0.0, float(y)]))
 
 
-def _segment_y(beta: float, s):
-    """The y-coordinate of the field at the pair member
-    (nu1, s, 1 - nu1 - s) with x > 0 of an axis field, and its s-derivative:
-    nu1 is the W-1 partner of s < 1/beta, nu1 e^{-beta nu1} = s e^{-beta s}
-    (Corless et al. 1996), and y = (r - 1)/(r + 2) for the field ratio
+def _segment_curve(beta: float, s):
+    """The pair member (nu1, s, 1 - nu1 - s) with x > 0 of an axis field:
+    its nu1, the W-1 partner of s < 1/beta, nu1 e^{-beta nu1} =
+    s e^{-beta s} (Corless et al. 1996), and its field's y-coordinate
+    and the s-derivative of that: y = (r - 1)/(r + 2) for the field ratio
     r = alpha3/alpha2 = (nu3/s) e^{beta (s - nu3)}, written to stay finite
     where nu3 = 0."""
     nu1, dnu1 = _branch_values(beta, 0.0, s, True, 2)
@@ -150,16 +150,43 @@ def _segment_y(beta: float, s):
     e = np.exp(beta * (s - nu3)) / s
     r = nu3 * e
     dr = e * (dnu3 + beta * nu3 * (1.0 - dnu3) - nu3 / s)
-    return (r - 1.0) / (r + 2.0), 3.0 * dr / (r + 2.0) ** 2
+    return nu1, (r - 1.0) / (r + 2.0), 3.0 * dr / (r + 2.0) ** 2
 
 
 def _pair_end(beta: float, k: int, hi: float) -> float:
     """s of the pair member with nu3 = k s: the root in (0, hi) of
     log(b/s) = beta (b - s), b = 1 - (1 + k) s, unique for hi below
-    1/(2 + 2k), where it is convex; k = 0 at y = -1/2, 1 at zero field."""
-    return bisect_root(lambda s: (math.log((1.0 - (1 + k) * s) / s)
-                                  - beta * (1.0 - (2 + k) * s)),
-                       1e-300, hi, xtol=0.0)
+    1/(2 + 2k), where it is convex; k = 0 at y = -1/2, 1 at zero field.
+    As b < 1 it lies below e^{-beta (1 - (2 + k) hi)}: from that top,
+    Newton steps reach it at any beta."""
+    def gap(s):
+        b = 1.0 - (1 + k) * s
+        return (math.log(b / s) - beta * (1.0 - (2 + k) * s),
+                -(1 + k) / b - 1.0 / s + beta * (2 + k))
+    top = min(hi, math.exp(-beta * (1.0 - (2 + k) * hi)))
+    if not (top > 1e-300 and gap(1e-300)[0] > 0.0):
+        raise NumericalError(f"the segment's {('lower', 'zero-field')[k]} "
+                             f"end lies below 1e-300 at beta = {beta}")
+    return bracketed_root(gap, 1e-300, top)
+
+
+def _zero_field_end(beta: float):
+    """s of the zero-field pair member (1 - 2s, s, s): the root of the
+    convex phi(s) = log((1 - 2s)/s) - beta (1 - 3s) below its minimum s*,
+    or None where phi(s*) >= 0, up to the crossing temperature."""
+    if beta < 8.0 / 3.0:  # phi has no minimum below 1/4
+        return None
+    s_min = (2.0 / (3.0 * beta)) / (1.0 + math.sqrt(1.0 - 8.0 / (3.0 * beta)))
+    if math.log((1.0 - 2.0 * s_min) / s_min) >= beta * (1.0 - 3.0 * s_min):
+        return None
+    return _pair_end(beta, 1, s_min)
+
+
+def _segment_grid(beta: float, top: float) -> np.ndarray:
+    """64 values of s from the pair member at y = -1/2 to ``top``,
+    cosine-spaced, denser towards both ends, which it keeps exactly."""
+    g = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 64)))
+    return (1.0 - g) * _pair_end(beta, 0, 1.0 / beta) + g * top
 
 
 def axis_minima(beta: float, y: float, tol: ToleranceConfig = DEFAULT_TOL):
@@ -183,62 +210,76 @@ def _axis_split(points):
     return sym, asym
 
 
-# Axis points whose census minima seed the triple-point solve, in the order
-# they are read; a seed pair may take its two minimizers from different
-# points.
-_TRIPLE_SEED_YS = (-0.25, -0.1, -0.03, 0.0)
-# Free directions of the triple-point solve in (mu1, mu2, nu1, nu2): the
-# symmetric minimizer (m, m, 1 - 2m) moves along (1, 1, 0, 0), the pair
-# member freely.
-_AXIS_BASIS = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                        [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+def _depth_gap(beta: float, s, nu1, y, dy, m_cell=None):
+    """g = f(mu) - f(nu), summed by components to halve its rounding, for
+    the pair member nu = (nu1, s, 1 - nu1 - s) and the symmetric minimizer
+    mu = (m, m, 1 - 2m) at nu's axis field (y-coordinate y); dg/ds =
+    (mu3 - nu3) dL/ds, L = log(alpha1/alpha3), by the envelope theorem; mu
+    and nu.  m solves log(m/(1 - 2m)) - 3 beta m + beta = L, whose left side
+    increases on [1/3, 1/2) for beta < 3: in ``m_cell``, else where
+    log(m/(1 - 2m)) = L + beta (3m - 1) lies in [L, L + beta/2]."""
+    log_ratio = np.log((1.0 - y) / (1.0 + 2.0 * y))
+
+    def stationarity(m):
+        return (np.log(m / (1.0 - 2.0 * m)) - 3.0 * beta * m + beta
+                - log_ratio, 1.0 / m + 2.0 / (1.0 - 2.0 * m) - 3.0 * beta)
+    if m_cell is None:
+        e = np.exp([log_ratio, log_ratio + 0.5 * beta])
+        m_cell = e / (1.0 + 2.0 * e)
+    f, df = stationarity(np.stack(m_cell))
+    m = _bracketed_halley(stationarity, *m_cell, (f[0], df[0]), (f[1], df[1]))
+    m = np.where(log_ratio == 0.0, 1.0 / 3.0, m)
+    mu = np.stack([m, m, 1.0 - 2.0 * m])
+    nu = np.stack([nu1, s, 1.0 - nu1 - s])
+    d = mu - nu
+    g = (d * (-0.5 * beta) * (mu + nu) + mu * np.log(mu)
+         - nu * np.log(nu)).sum(axis=0) + d[2] * log_ratio
+    return g, d[2] * -3.0 * dy / ((1.0 - y) * (1.0 + 2.0 * y)), mu, nu
 
 
 def triple_point(beta: float,
                  tol: ToleranceConfig = DEFAULT_TOL) -> CoexistencePoint:
     """The on-axis point where the mirror pair and the symmetric minimum
-    are equally deep, for butterfly < beta < four-phase temperature.
-
-    It solves the field-free coexistence system for a symmetric minimizer
-    mu = (m, m, 1 - 2m) and one pair member nu, three equations in
-    (m, nu1, nu2), by damped Newton from pairs of census minima on the
-    axis.  A solution counts only if the census at its field has exactly
-    mu, nu and the mirror of nu as its global minimizers: the system also
-    holds for metastable ties, such as the corner pair at zero field.
-    """
+    are equally deep, for butterfly < beta < four-phase temperature: the
+    first + to - change of the depth gap (``_depth_gap``) along the segment
+    curve on a 64-point cosine grid, refined by ``_bracketed_halley``.  The
+    gap is positive at y = -1/2 and ends at 0 where the pair merges into
+    mu, s = 1/beta, or below 0 at the zero-field member, which the curve
+    reaches first above the crossing temperature."""
     beta = float(beta)
     if not BETA_BUTTERFLY < beta < BETA_ELLIS_WANG:
         raise DomainError(
             f"triple point requires 18/7 < beta < 4 log 2, got {beta}")
+    s0 = _zero_field_end(beta)
+    # the grid's first point, y = -1/2, has g > 0 and L infinite; at
+    # s = 1/beta g is 0 by construction and 0/0 in this form
+    grid = _segment_grid(beta, s0 or 1.0 / beta)[1:None if s0 else -1]
+    nu1, y, dy = _segment_curve(beta, grid)
+    if s0:  # at the exact uniform field
+        nu1[-1], y[-1] = 1.0 - 2.0 * s0, 0.0
+    g, dg, mu, _ = _depth_gap(beta, grid, nu1, y, dy)
+    # rounding: min g > -2e-16 within 1e-5 of 18/7, -5e-15 at 18/7 + 3e-5
+    if not g.min() < -1e-15:
+        raise NumericalError(
+            f"the depth gap along the segment curve stays at rounding level "
+            f"where it turns negative (min {g.min():.1e}), so the triple "
+            f"point is not resolved in double precision at beta = {beta}")
+    j = np.argmax((g[:-1] > 0.0) & (g[1:] <= 0.0), keepdims=True)
+    m_cell = mu[0, j + 1], mu[0, j]  # m falls as s rises
 
-    # one batch; a seed census that failed raises only once it is read
-    seeds = _census_batch([ModelParams(beta, _axis_field(y))
-                           for y in _TRIPLE_SEED_YS], tol)
-    syms, asyms = [], []
-    for cens in seeds:
-        sym, asym = _axis_split(p.nu for p in _checked(cens).minima)
-        # pair the new minima with each other and with those seen before
-        pairs = [(s, a) for s in syms for a in asym]
-        pairs += [(s, a) for s in sym for a in asyms + asym]
-        syms += sym
-        asyms += asym
-        for s, a in pairs:
-            # to about a hundred times rounding, so that the result does
-            # not depend on the seed
-            w = _solve_pair(beta, np.array([s[0], s[0], a[0], a[1]]),
-                            _AXIS_BASIS, res_tol=1e-14)
-            tp = None if w is None else _global_triple(beta, w, tol)
-            if tp is not None:
-                return tp
-    raise NumericalError(
-        f"no triple point found on the axis at beta = {beta}")
+    def gap(s):
+        return _depth_gap(beta, s, *_segment_curve(beta, s), m_cell)[:2]
+    s = _bracketed_halley(gap, grid[j], grid[j + 1], (g[j], dg[j]),
+                          (g[j + 1], dg[j + 1]))
+    _, _, mu, nu = _depth_gap(beta, s, *_segment_curve(beta, s), m_cell)
+    return _global_triple(beta, mu[:, 0], nu[:, 0], tol)
 
 
-def _global_triple(beta: float, w: np.ndarray, tol: ToleranceConfig):
-    """The triple point carried by a solution of the axis-constrained
-    system, or None unless its three minimizers are precisely the global
-    minimizers of the census at its field."""
-    mu, nu = _pair_from_state(w)
+def _global_triple(beta: float, mu: np.ndarray, nu: np.ndarray,
+                   tol: ToleranceConfig) -> CoexistencePoint:
+    """The triple point of mu and nu, if its three minimizers are precisely
+    the global minimizers of the census at its field: the depth gap also
+    vanishes at metastable ties."""
     minimizers = np.array([mu, nu, nu[list(_SWAP12)]])
     minimizers = minimizers[np.lexsort(batch_xy(minimizers).T[::-1])]
     alpha = AprioriMeasure.from_array(batch_catastrophe(beta, mu))
@@ -246,7 +287,8 @@ def _global_triple(beta: float, w: np.ndarray, tol: ToleranceConfig):
     values = batch_free_energy(beta, alpha.array, minimizers)
     if (len(found) != 3 or values.max() - values.min() > tol.coexistence_depth
             or np.abs([p.nu.array for p in found] - minimizers).max() > 1e-6):
-        return None
+        raise NumericalError(f"the equal-depth point on the axis is no "
+                             f"triple point of its census at beta = {beta}")
     return CoexistencePoint(
         beta, alpha, tuple(map(SpinDistribution.from_array, minimizers)),
         float(values.mean()))
@@ -303,24 +345,23 @@ def _pair_tangent(beta: float, w: np.ndarray) -> np.ndarray:
     return vt[-1]
 
 
-def _solve_pair(beta: float, w0: np.ndarray, basis: np.ndarray,
-                res_tol: float = 1e-12, max_iter: int = 60):
+def _solve_pair(beta: float, w0: np.ndarray, basis: np.ndarray):
     """Damped Newton on the field-free system, moving the state vector only
-    along the three columns of ``basis`` (4x3); returns the state vector or
-    None.
+    along the three columns of ``basis`` (4x3), to a residual norm of
+    1e-12 within 60 steps; returns the state vector or None.
 
     The line search halves the step length lam until the residual norm
     drops by at least 1e-4 lam |r| (Armijo).  It stagnates, and the solve
     fails, once the decrease lam |r| that the linear model promises is
-    below ``res_tol``: so short a step can no longer decide convergence,
-    only chase rounding noise."""
+    below 1e-12: so short a step can no longer decide convergence, only
+    chase rounding noise."""
     w = np.array(w0, dtype=float)
     r = _pair_residual(beta, w)
     if not np.all(np.isfinite(r)):
         return None
     rn = np.linalg.norm(r)
-    for _ in range(max_iter):
-        if rn <= res_tol:
+    for _ in range(60):
+        if rn <= 1e-12:
             return w
         try:
             step = basis @ np.linalg.solve(_pair_jacobian(beta, w) @ basis, -r)
@@ -328,7 +369,7 @@ def _solve_pair(beta: float, w0: np.ndarray, basis: np.ndarray,
             return None
         lam = 1.0
         while True:
-            if lam * rn <= res_tol:
+            if lam * rn <= 1e-12:
                 return None
             cand = w + lam * step
             rc = _pair_residual(beta, cand)
@@ -337,7 +378,7 @@ def _solve_pair(beta: float, w0: np.ndarray, basis: np.ndarray,
                 w, r, rn = cand, rc, rcn
                 break
             lam *= 0.5
-    return w if rn <= res_tol else None
+    return w if rn <= 1e-12 else None
 
 
 def _cusp_conditions(beta: float, nu: np.ndarray):
@@ -546,9 +587,9 @@ def track_segment_pair(segment: AxisSegment, n: int = 40,
                        tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """Sample the axis segment and attach the mirror pair of global
     minimizers to each sample: the pair member whose field's y
-    (``_segment_y``) is the sample's.  In s = nu2, y rises strictly from -1/2
-    (nu3 = 0) to the upper end: the pair's merge point s = 1/beta up to
-    18/7, the triple point's member up to 4 log 2, the zero-field state
+    (``_segment_curve``) is the sample's.  In s = nu2, y rises strictly from
+    -1/2 (nu3 = 0) to the upper end: the pair's merge point s = 1/beta up
+    to 18/7, the triple point's member up to 4 log 2, the zero-field state
     beyond; past it y turns back.  The curve on a grid over that bracket
     brackets every sample, and Newton steps from the cubic Hermite start in
     its cell (``_bracketed_halley``) solve all samples at once.  The census
@@ -558,17 +599,15 @@ def track_segment_pair(segment: AxisSegment, n: int = 40,
     beta = segment.beta
     ys = segment.sample_ys(n)
     if segment.y_hi == 0.0:
-        top = _pair_end(beta, 1, 0.2)
+        top = _zero_field_end(beta)
     elif beta <= BETA_BUTTERFLY:
         top = 1.0 / beta
     else:
         tp = segment.triple or triple_point(beta, tol=tol)
         top = _axis_split(tp.minimizers)[1][0][1]
-    # cosine-spaced, denser towards both ends, which it keeps exactly
-    g = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 64)))
-    grid = (1.0 - g) * _pair_end(beta, 0, 1.0 / beta) + g * top
+    grid = _segment_grid(beta, top)
     merge = beta <= BETA_BUTTERFLY  # top at the branch point: nu1' is 0/0
-    y, dy = _segment_y(beta, grid[:-1] if merge else grid)
+    _, y, dy = _segment_curve(beta, grid[:-1] if merge else grid)
     if merge:  # where y peaks, at the closed-form end
         y, dy = np.append(y, segment.y_hi), np.append(dy, 0.0)
     if not (y[0] < ys[0] and ys[-1] <= y[-1]):
@@ -577,7 +616,7 @@ def track_segment_pair(segment: AxisSegment, n: int = 40,
     j = np.searchsorted(y, ys)  # y[j - 1] < ys <= y[j]
 
     def residual(s):
-        y_s, dy_s = _segment_y(beta, s)
+        _, y_s, dy_s = _segment_curve(beta, s)
         return y_s - ys, dy_s
     s = _bracketed_halley(residual, grid[j - 1], grid[j],
                           (y[j - 1] - ys, dy[j - 1]), (y[j] - ys, dy[j]))

@@ -192,10 +192,12 @@ def batch_uv(points: np.ndarray) -> np.ndarray:
 
 
 def batch_from_uv(uv: np.ndarray) -> np.ndarray:
+    """Log-ratio coordinates (..., 2) -> simplex points: the softmax of
+    (u, v, 0), shifted by max(u, v, 0) so that no exponential overflows."""
     c = np.asarray(uv, dtype=float)
-    eu, ev = np.exp(c[..., 0]), np.exp(c[..., 1])
-    z = eu + ev + 1.0
-    return np.stack([eu / z, ev / z, np.ones_like(eu) / z], axis=-1)
+    c = np.concatenate([c, np.zeros_like(c[..., :1])], axis=-1)
+    e = np.exp(c - c.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def batch_pq(points: np.ndarray) -> np.ndarray:

@@ -1,48 +1,67 @@
-"""Bracketed scalar root finding: bisection with optional Newton polish."""
+"""Bracketed root finding: one safeguarded Halley iteration for all the
+package's bracketed roots, on arrays of brackets (``_bracketed_halley``) or
+for one scalar root (``bracketed_root``)."""
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import NumericalError
 
 
-def bisect_root(f, lo: float, hi: float, xtol: float = 1e-12,
-                flo: float = None, fhi: float = None) -> float:
-    """Root of ``f`` inside [lo, hi] by bisection to interval width ``xtol``.
-
-    ``f(lo)`` and ``f(hi)`` must have opposite signs; raises NumericalError
-    otherwise (bracket failure).
-    """
-    flo = f(lo) if flo is None else flo
-    fhi = f(hi) if fhi is None else fhi
-    if flo == 0.0:
+def _bracketed_halley(fun, lo, hi, end_lo, end_hi):
+    """Roots of ``fun`` (value, slope, maybe second derivative) in all the
+    brackets [lo, hi] at once, from value (signs opposite) and slope at the
+    ends.  Start at the root of the ends' cubic Hermite interpolant (the
+    midpoint if Newton on the cubic leaves the bracket); take Halley (else
+    Newton) steps that stay inside the shrinking bracket and at least halve
+    the last one, else bisect (``rtsafe``).  Done when the Newton step or
+    the width is at rounding level, or when a step inside the bracket fails
+    the halving test within 1e3 rounding units: that is rounding noise.
+    A bracket once done keeps its root, so each root is the same whatever
+    other brackets share the call."""
+    if not len(lo):
         return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise NumericalError(
-            f"no sign change on bracket [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval at floating-point resolution
+    eps = 4.0 * np.finfo(float).eps
+    (f0, d0), (f1, d1), h = end_lo, end_hi, hi - lo
+    c2 = 3.0 * (f1 - f0) - h * (2.0 * d0 + d1)
+    c3 = 2.0 * (f0 - f1) + h * (d0 + d1)
+    u = f0 / (f0 - f1)
+    for _ in range(2):
+        u = u - (((c3 * u + c2) * u + h * d0) * u + f0) / (
+            (3.0 * c3 * u + 2.0 * c2) * u + h * d0)
+    x = np.where((u > 0.0) & (u < 1.0), lo + u * h, 0.5 * (lo + hi))
+    step, sign_lo = h, np.sign(f0)
+    for _ in range(100):
+        f, df, *d2f = fun(x)
+        left = np.sign(f) == sign_lo
+        lo = np.where(left, x, lo)
+        hi = np.where(left, hi, x)
+        dx = f / df / (1.0 - 0.5 * f * d2f[0] / (df * df) if d2f else 1.0)
+        inside = (lo <= x - dx) & (x - dx <= hi)
+        ok = inside & (2.0 * np.abs(dx) <= np.abs(step))
+        done = ((np.abs(f) <= eps * np.abs(x * df)) | (hi - lo <= eps * x)
+                | (inside & ~ok & (np.abs(dx) <= 1e3 * eps * x)))
+        if np.all(done):
             break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
+        new = np.where(done, x, np.where(ok, x - dx, 0.5 * (lo + hi)))
+        step = np.abs(new - x)
+        x = new
+    return x
 
 
-def bisect_then_newton(f, lo: float, hi: float, df, xtol: float = 1e-12) -> float:
-    """Bisection to width ``xtol`` followed by one Newton step with the
-    analytic derivative ``df``, clipped back to the bracket."""
-    root = bisect_root(f, lo, hi, xtol=xtol)
-    d = df(root)
-    if d != 0.0:
-        step = f(root) / d
-        polished = root - step
-        if lo < polished < hi:
-            root = polished
-    return root
+def bracketed_root(fun, lo: float, hi: float) -> float:
+    """The root in [lo, hi] of ``fun``, which returns value and slope at a
+    scalar: an end where the value is exactly zero, else by
+    ``_bracketed_halley``.  Raises NumericalError unless the values at the
+    ends have opposite signs (bracket failure)."""
+    end_lo, end_hi = fun(lo), fun(hi)
+    if end_lo[0] == 0.0:
+        return lo
+    if end_hi[0] == 0.0:
+        return hi
+    if (end_lo[0] > 0.0) == (end_hi[0] > 0.0):
+        raise NumericalError(f"no sign change on bracket [{lo}, {hi}]: "
+                             f"f(lo)={end_lo[0]}, f(hi)={end_hi[0]}")
+    return float(_bracketed_halley(lambda x: fun(x[0]), np.array([lo]),
+                                   np.array([hi]), end_lo, end_hi)[0])

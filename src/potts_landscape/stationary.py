@@ -41,6 +41,7 @@ from .errors import DomainError, NumericalError
 from .model import (DEFAULT_TOL, ModelParams, SpinDistribution,
                     ToleranceConfig, batch_free_energy, batch_gradient,
                     batch_hessian, batch_xy, hessian_eigenvalues)
+from .rootfind import _bracketed_halley
 
 
 class PointKind(enum.Enum):
@@ -346,47 +347,6 @@ def _samples(beta: float) -> np.ndarray:
         t = _distinct(np.concatenate([t, [centre], centre * (1.0 - near),
                                       centre * (1.0 + near)]))
     return t[t < 1.0]
-
-
-def _bracketed_halley(fun, lo, hi, end_lo, end_hi):
-    """Roots of ``fun`` (value, slope, maybe second derivative) in all the
-    brackets [lo, hi] at once, from value (signs opposite) and slope at the
-    ends.  Start at the root of the ends' cubic Hermite interpolant (the
-    midpoint if Newton on the cubic leaves the bracket); take Halley (else
-    Newton) steps that stay inside the shrinking bracket and at least halve
-    the last one, else bisect (``rtsafe``).  Done when the Newton step or
-    the width is at rounding level, or when a step inside the bracket fails
-    the halving test within 1e3 rounding units: that is rounding noise.
-    A bracket once done keeps its root, so each root is the same whatever
-    other brackets share the call."""
-    if not len(lo):
-        return lo
-    eps = 4.0 * np.finfo(float).eps
-    (f0, d0), (f1, d1), h = end_lo, end_hi, hi - lo
-    c2 = 3.0 * (f1 - f0) - h * (2.0 * d0 + d1)
-    c3 = 2.0 * (f0 - f1) + h * (d0 + d1)
-    u = f0 / (f0 - f1)
-    for _ in range(2):
-        u = u - (((c3 * u + c2) * u + h * d0) * u + f0) / (
-            (3.0 * c3 * u + 2.0 * c2) * u + h * d0)
-    x = np.where((u > 0.0) & (u < 1.0), lo + u * h, 0.5 * (lo + hi))
-    step, sign_lo = h, np.sign(f0)
-    for _ in range(100):
-        f, df, *d2f = fun(x)
-        left = np.sign(f) == sign_lo
-        lo = np.where(left, x, lo)
-        hi = np.where(left, hi, x)
-        dx = f / df / (1.0 - 0.5 * f * d2f[0] / (df * df) if d2f else 1.0)
-        inside = (lo <= x - dx) & (x - dx <= hi)
-        ok = inside & (2.0 * np.abs(dx) <= np.abs(step))
-        done = ((np.abs(f) <= eps * np.abs(x * df)) | (hi - lo <= eps * x)
-                | (inside & ~ok & (np.abs(dx) <= 1e3 * eps * x)))
-        if np.all(done):
-            break
-        new = np.where(done, x, np.where(ok, x - dx, 0.5 * (lo + hi)))
-        step = np.abs(new - x)
-        x = new
-    return x
 
 
 # The two other components for each index of the largest field component.

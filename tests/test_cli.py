@@ -41,6 +41,16 @@ class TestNonFiniteInput:
     def test_slice_beta_inf(self, capsys):
         assert_domain_error(capsys, ["slice", "--beta", "inf"])
 
+    @pytest.mark.parametrize("args", [
+        ["census", "--beta", "2.6", "--uv", "1000,0"],
+        ["potential", "--beta", "2.6", "--uv", "1e5,0"]])
+    def test_overflowing_uv(self, capsys, args):
+        """A field too close to a corner is refused in one line, without
+        an overflow on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert_domain_error(capsys, args)
+
     def test_slice_extent_nan_svg(self, capsys):
         assert_domain_error(capsys, ["slice", "--beta", "2.3", "--extent",
                                      "nan", "--format", "svg"])
@@ -590,8 +600,9 @@ class TestMaxwellCommand:
                    if isinstance(v, float))
 
     @pytest.mark.parametrize("beta", ["2.0001", "2.05", repr(18 / 7), "2.5715",
-                                      repr(pl.BETA_ELLIS_WANG), "20",
-                                      "40", "200"])
+                                      repr(18 / 7 + 3e-5), "2.6", "2.7",
+                                      "2.765", repr(pl.BETA_ELLIS_WANG), "20",
+                                      "40", "200", "1e6"])
     def test_segment_ends_without_warning(self, capsys, beta):
         """Finite records, or one error line and exit 3 where the pair
         curve's s-range is below double resolution; no RuntimeWarning."""
@@ -610,6 +621,23 @@ class TestMaxwellCommand:
             assert code == 3 and captured.out == ""
             assert len(lines) == 1, lines
             assert lines[0].startswith("numerical failure:"), lines
+            if float(beta) > 1e3:  # the zero-field end is below 1e-300
+                assert "segment" in lines[0], lines
+
+    @pytest.mark.parametrize("offset", [3e-5, 1e-4])
+    def test_just_above_the_butterfly_temperature(self, capsys, offset):
+        assert run(["maxwell", "--beta", repr(18 / 7 + offset)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_triple_point_below_double_resolution(self, capsys):
+        """At 18/7 + 1e-7 the depth gap on the segment curve is rounding
+        noise where it turns negative: one line says so, exit 3."""
+        assert run(["maxwell", "--beta", repr(18 / 7 + 1e-7)]) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert captured.out == "" and len(lines) == 1, lines
+        assert lines[0].startswith("numerical failure:"), lines
+        assert "rounding level" in lines[0], lines
 
     @pytest.mark.parametrize("beta, code", [
         ("20", 0), ("22", 0), ("25", 3), ("28", 3), ("30", 3), ("33", 3),

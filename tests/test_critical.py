@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import potts_landscape as pl
-from potts_landscape.critical import (crossing_shape_function, fold_centre_p,
+from potts_landscape.critical import (_crossing_shape_derivative,
+                                      _touch_gap_derivative,
+                                      crossing_shape_function, fold_centre_p,
                                       touch_gap_function, triangle_vertex_p)
 from potts_landscape.model import batch_free_energy
-from potts_landscape.rootfind import bisect_root
+from potts_landscape.rootfind import bracketed_root
 
 AUNIFORM = pl.AprioriMeasure.uniform()
 
@@ -41,12 +43,12 @@ class TestBetaCross:
         assert abs(d1) <= 1e-8
         assert abs(d2) <= 1e-6
 
-    def test_stable_under_tolerance_refinement(self):
-        s1 = bisect_root(crossing_shape_function, 0.25, 1 - 1e-9, xtol=1e-12)
-        s2 = bisect_root(crossing_shape_function, 0.25, 1 - 1e-9, xtol=5e-13)
-        b1 = 3.0 / ((1.0 + 2.0 * s1) * (1.0 - s1))
-        b2 = 3.0 / ((1.0 + 2.0 * s2) * (1.0 - s2))
-        assert abs(b1 - b2) <= 1e-10
+    def test_shape_function_vanishes_to_rounding_at_the_root(self):
+        s = bracketed_root(lambda x: (crossing_shape_function(x),
+                                      _crossing_shape_derivative(x)),
+                           0.25, 1 - 1e-9)
+        assert abs(crossing_shape_function(s)) <= 4e-16
+        assert pl.beta_cross() == 3.0 / ((1.0 + 2.0 * s) * (1.0 - s))
 
     def test_census_jump_across(self):
         beta = pl.beta_cross()
@@ -63,6 +65,13 @@ class TestBetaTouch:
     def test_endpoint_values(self):
         assert touch_gap_function(8.0 / 3.0) == pytest.approx(1.0 - math.log(3.0), abs=1e-12)
         assert touch_gap_function(3.0) == pytest.approx(1.5 - math.log(4.0), abs=1e-12)
+
+    @pytest.mark.parametrize("x", [2.7, 2.8024, 2.9])
+    def test_slope_matches_central_differences(self, x):
+        h = 1e-6
+        central = (touch_gap_function(x + h)
+                   - touch_gap_function(x - h)) / (2 * h)
+        assert _touch_gap_derivative(x) == pytest.approx(central, rel=1e-8)
 
     def test_vertex_meets_fold_line(self):
         beta = pl.beta_touch()
@@ -113,8 +122,8 @@ class TestEllipticUmbilicGerm:
 class TestRootfind:
     def test_bracket_failure_is_reported(self):
         with pytest.raises(pl.NumericalError):
-            bisect_root(lambda x: 1.0 + x * x, 0.0, 1.0)
+            bracketed_root(lambda x: (1.0 + x * x, 2.0 * x), 0.0, 1.0)
 
     def test_exact_root_endpoints(self):
-        assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0
-        assert bisect_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+        assert bracketed_root(lambda x: (x, 1.0), 0.0, 1.0) == 0.0
+        assert bracketed_root(lambda x: (x - 1.0, 1.0), 0.0, 1.0) == 1.0

@@ -6,6 +6,7 @@ import pytest
 
 import potts_landscape as pl
 import potts_landscape.maxwell as mw
+import potts_landscape.stationary as stationary
 from potts_landscape.maxwell import (axis_minima, ivp_tangent,
                                      segment_upper_endpoint_y,
                                      track_segment_pair)
@@ -111,15 +112,15 @@ class TestSymmetricSegment:
 
     @pytest.mark.parametrize("n", [2, 10, 40, 5000])
     def test_segment_pair_takes_one_census(self, monkeypatch, n):
-        calls = []
-        for name in ("census", "_census_batch"):
-            def counted(*args, _f=getattr(mw, name), **kwargs):
-                calls.append(name)
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(mw, name, counted)
+        fields = []
+
+        def counted(beta, alphas, tol, _f=stationary._reduced_roots):
+            fields.append(len(alphas))
+            return _f(beta, alphas, tol)
+        monkeypatch.setattr(stationary, "_reduced_roots", counted)
         pts = track_segment_pair(pl.symmetric_segment(2.4), n=n)
         assert len(pts) == n
-        assert len(calls) == 1
+        assert fields == [1]
 
     @pytest.mark.parametrize("beta", SEGMENT_BETAS)
     def test_segment_pair_matches_bisection(self, beta):
@@ -280,6 +281,44 @@ class TestTriplePoint:
         d_near = np.abs(near.alpha.array - 1.0 / 3.0).max()
         assert d_near < d_far
         assert d_near < 5e-3
+
+    @pytest.mark.parametrize("offset", [3e-5, 1e-4])
+    def test_just_above_the_butterfly_temperature(self, offset):
+        """Where the window of three minima is short: its three minimizers
+        are the census' global set, equally deep to rounding."""
+        beta = 18.0 / 7.0 + offset
+        tp = pl.triple_point(beta)
+        params = pl.ModelParams(beta, tp.alpha)
+        assert len(pl.census(params).global_minimizers) == 3
+        values = [pl.free_energy(params, m) for m in tp.minimizers]
+        assert max(values) - min(values) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [2.6, 2.7])
+    def test_one_census_of_one_field(self, monkeypatch, beta):
+        """The triple point is a root on the segment curve; only the check
+        of its minimizers takes a census, of its own field."""
+        fields = []
+
+        def counted(beta_, alphas, tol, _f=stationary._reduced_roots):
+            fields.append(len(alphas))
+            return _f(beta_, alphas, tol)
+        monkeypatch.setattr(stationary, "_reduced_roots", counted)
+        pl.triple_point(beta)
+        assert fields == [1]
+
+    @pytest.mark.parametrize("beta", [2.6, 2.7])
+    def test_depth_gap_slope_matches_central_differences(self, beta):
+        """dg/ds = (mu3 - nu3) dL/ds by the envelope theorem, at the triple
+        point's s and on both sides of it."""
+        s_tp = mw._axis_split(pl.triple_point(beta).minimizers)[1][0][1]
+        s = s_tp + np.array([-0.02, 0.0, 0.02])
+        h = 1e-6
+
+        def gap(s):
+            return mw._depth_gap(beta, s, *mw._segment_curve(beta, s))[:2]
+        central = (gap(s + h)[0] - gap(s - h)[0]) / (2.0 * h)
+        slope = gap(s)[1]
+        assert np.abs(central - slope).max() <= 1e-8 * np.abs(central).max()
 
 
 # Temperatures 18/7 + k 5e-4 where a triple point found by bisection
