@@ -18,8 +18,12 @@ one bracketed scalar root (``rootfind``).  Off the axis the coexistence
 curve is continued from the triple point on the field-free system,
 sweeping one state coordinate per step (the dominant tangent component,
 which is the first component of the symmetric-side minimizer wherever
-that parametrization is well posed); the initial-value-problem form of
-the curve is used only as a tangent cross-check in the tests.  The curve
+that parametrization is well posed).  One evaluation of the system per
+corrector trial (``_pair_residual``) gives its residual and Jacobian and
+both minimizers' fields and depths; the accepted evaluation's Jacobian
+gives the next tangent, and its field and depth are the emitted point's.
+The initial-value-problem form of the curve is used only as a tangent
+cross-check in the tests.  The curve
 leaves on the side the S3 symmetry picks and ends on the exact A3 point,
 where the pair merges at a cusp, or on the triple point mirrored onto the
 next axis (Ellis & Wang 1990).
@@ -30,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,12 +42,15 @@ from .critical import BETA_BUTTERFLY, BETA_ELLIS_WANG
 from .errors import DomainError, NumericalError
 from .model import (DEFAULT_TOL, AprioriMeasure, ModelParams,
                     SpinDistribution, ToleranceConfig, _check_beta,
-                    batch_catastrophe, batch_free_energy, batch_from_xy,
-                    batch_stationary_value, batch_xy, hessian_eigenvalues)
+                    _shifted_terms, _stationary_value, batch_catastrophe,
+                    batch_free_energy, batch_from_xy, batch_stationary_value,
+                    batch_xy, hessian_eigenvalues)
 from .rootfind import _bracketed_halley, bracketed_root
 from .stationary import MinimaCensus, _branch_values, census
 
 _SWAP12 = (1, 0, 2)
+_EYE2, _EYE3 = np.eye(2), np.eye(3)
+_THIRD = (3 - np.add.outer(range(3), range(3))) % 3  # the index not i or k
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,87 +306,84 @@ def _global_triple(beta: float, mu: np.ndarray, nu: np.ndarray,
 # Field-free coexistence system and its continuation
 # ---------------------------------------------------------------------------
 
-def _pair_from_state(w: np.ndarray):
-    """State vector (mu1, mu2, nu1, nu2) -> the two simplex points."""
-    mu = np.array([w[0], w[1], 1.0 - w[0] - w[1]])
-    nu = np.array([w[2], w[3], 1.0 - w[2] - w[3]])
-    return mu, nu
+class _PairEval(NamedTuple):
+    """The field-free system at one state vector w = (mu1, mu2, nu1, nu2)."""
+
+    w: np.ndarray
+    pair: np.ndarray      # (2, 3): mu and nu
+    residual: np.ndarray  # (3,), NaN off the simplex
+    chi: np.ndarray       # (2, 3): their fields
+    sv: np.ndarray        # (2,): their stationary values
+    jac: np.ndarray       # (3, 4): d residual / d w
 
 
-def _pair_residual(beta: float, w: np.ndarray) -> np.ndarray:
-    mu, nu = _pair_from_state(w)
-    if mu.min() <= 0.0 or nu.min() <= 0.0:
-        return np.full(3, np.nan)
-    both = np.stack([mu, nu])
-    sv = batch_stationary_value(beta, both)
-    chi = batch_catastrophe(beta, both)
-    return np.array([sv[0] - sv[1],
-                     chi[0, 0] - chi[1, 0],
-                     chi[0, 1] - chi[1, 1]])
+def _pair_residual(beta: float, w: np.ndarray) -> _PairEval:
+    """The field-free system at w: residual (sv(mu) - sv(nu), chi1(mu) -
+    chi1(nu), chi2(mu) - chi2(nu)), the fields and stationary values of
+    both points from one set of shifted terms, and the Jacobian of both at
+    once; only the residual where a point leaves the simplex."""
+    pair = np.empty((2, 3))
+    pair[:, :2] = np.reshape(w, (2, 2))
+    pair[:, 2] = 1.0 - pair[:, 0] - pair[:, 1]
+    if pair.min() <= 0.0:
+        return _PairEval(w, pair, np.full(3, np.nan), None, None, None)
+    t, total, shift = _shifted_terms(beta, pair)
+    chi = t / total
+    sv = _stationary_value(beta, pair, total, shift)
+    residual = np.array([sv[0] - sv[1], chi[0, 0] - chi[1, 0],
+                         chi[0, 1] - chi[1, 1]])
+    # local-coordinate derivatives from the unshifted terms q_i = nu_i
+    # e^{-beta nu_i}: d q_i / d w_a is delta_{ia} dq_i for i in {0, 1}
+    e = np.exp(-beta * pair)
+    q, dq = pair * e, (1.0 - beta * pair) * e
+    z = q.sum(axis=-1)[:, None]
+    dz = dq[:, :2] - dq[:, 2:]
+    d = np.empty((2, 3, 2))  # rows: d sv, d chi1, d chi2 of mu, then nu
+    d[:, 0] = beta * (pair[:, :2] - pair[:, 2:]) + dz / z
+    d[:, 1:] = ((_EYE2 * dq[:, :2, None]) * z[:, :, None]
+                - q[:, :2, None] * dz[:, None, :]) / (z * z)[:, :, None]
+    return _PairEval(w, pair, residual, chi, sv,
+                     np.concatenate([d[0], -d[1]], axis=1))
 
 
-def _sv_chi_derivs(beta: float, w: np.ndarray):
-    """Local-coordinate derivatives of the stationary value and the first
-    two field-map components at one simplex point."""
-    t = w * np.exp(-beta * w)
-    tp = (1.0 - beta * w) * np.exp(-beta * w)
-    T = t.sum()
-    dT = np.array([tp[0] - tp[2], tp[1] - tp[2]])
-    dsv = beta * (w[:2] - w[2]) + dT / T
-    # d t_i / d w_a in local coordinates is delta_{ia} tp_i for i in {0, 1}
-    dchi = (np.diag(tp[:2]) * T - np.outer(t[:2], dT)) / (T * T)
-    return dsv, dchi
+def _pair_gap(pair: np.ndarray) -> float:
+    return float(np.linalg.norm(pair[0] - pair[1]))
 
 
-def _pair_jacobian(beta: float, w: np.ndarray) -> np.ndarray:
-    """Jacobian of the field-free system over (mu1, mu2, nu1, nu2)."""
-    mu, nu = _pair_from_state(w)
-    dsv_mu, dchi_mu = _sv_chi_derivs(beta, mu)
-    dsv_nu, dchi_nu = _sv_chi_derivs(beta, nu)
-    return np.hstack([np.vstack([dsv_mu, dchi_mu]),
-                      -np.vstack([dsv_nu, dchi_nu])])
-
-
-def _pair_tangent(beta: float, w: np.ndarray) -> np.ndarray:
-    """Unit tangent of the solution curve: nullspace of the 3x4 Jacobian."""
-    _, _, vt = np.linalg.svd(_pair_jacobian(beta, w))
-    return vt[-1]
-
-
-def _solve_pair(beta: float, w0: np.ndarray, basis: np.ndarray):
-    """Damped Newton on the field-free system, moving the state vector only
-    along the three columns of ``basis`` (4x3), to a residual norm of
-    1e-12 within 60 steps; returns the state vector or None.
+def _solve_pair(beta: float, w0: np.ndarray, pivot: int):
+    """Damped Newton on the field-free system, holding state coordinate
+    ``pivot`` fixed, to a residual norm of 1e-12 within 60 steps; returns
+    the evaluation (``_pair_residual``) there or None.
 
     The line search halves the step length lam until the residual norm
     drops by at least 1e-4 lam |r| (Armijo).  It stagnates, and the solve
     fails, once the decrease lam |r| that the linear model promises is
     below 1e-12: so short a step can no longer decide convergence, only
     chase rounding noise."""
-    w = np.array(w0, dtype=float)
-    r = _pair_residual(beta, w)
-    if not np.all(np.isfinite(r)):
+    keep = [k for k in range(4) if k != pivot]
+    ev = _pair_residual(beta, w0)
+    if not np.all(np.isfinite(ev.residual)):
         return None
-    rn = np.linalg.norm(r)
+    rn = np.linalg.norm(ev.residual)
     for _ in range(60):
         if rn <= 1e-12:
-            return w
+            return ev
+        step = np.zeros(4)
         try:
-            step = basis @ np.linalg.solve(_pair_jacobian(beta, w) @ basis, -r)
+            step[keep] = np.linalg.solve(ev.jac[:, keep], -ev.residual)
         except np.linalg.LinAlgError:
             return None
         lam = 1.0
         while True:
             if lam * rn <= 1e-12:
                 return None
-            cand = w + lam * step
-            rc = _pair_residual(beta, cand)
-            rcn = np.linalg.norm(rc)
+            cand = _pair_residual(beta, ev.w + lam * step)
+            rcn = np.linalg.norm(cand.residual)
             if np.isfinite(rcn) and rcn <= (1.0 - 1e-4 * lam) * rn:
-                w, r, rn = cand, rc, rcn
+                ev, rn = cand, rcn
                 break
             lam *= 0.5
-    return w if rn <= 1e-12 else None
+    return ev if rn <= 1e-12 else None
 
 
 def _cusp_conditions(beta: float, nu: np.ndarray):
@@ -393,11 +398,7 @@ def _cusp_conditions(beta: float, nu: np.ndarray):
     a = 1.0 / nu - beta
     da = -1.0 / (nu * nu)
     w = np.array([a[1] * a[2], a[0] * a[2], a[0] * a[1]])
-    dw = np.zeros((3, 3))  # dw[i, k] = d w_i / d nu_k
-    for i in range(3):
-        for k in range(3):
-            if i != k:
-                dw[i, k] = a[3 - i - k] * da[k]
+    dw = a[_THIRD] * da * (1.0 - _EYE3)  # dw[i, k] = d w_i / d nu_k
     cubic = -np.sum(w ** 3 / nu ** 2)
     dcubic = -(3.0 * (w * w / nu ** 2) @ dw) + 2.0 * w ** 3 / nu ** 3
     grad = np.stack([dw.sum(axis=0), dcubic])
@@ -427,11 +428,6 @@ def _cusp_point(beta: float, seed: np.ndarray, max_iter: int = 50):
     return nu
 
 
-def _pair_gap(w: np.ndarray) -> float:
-    mu, nu = _pair_from_state(w)
-    return float(np.linalg.norm(mu - nu))
-
-
 def coexistence_curve(beta: float, step: float = 0.005,
                       tol: ToleranceConfig = DEFAULT_TOL,
                       origin: CoexistencePoint = None,
@@ -441,7 +437,8 @@ def coexistence_curve(beta: float, step: float = 0.005,
 
     Stepping is predictor-corrector along the solution curve of the
     field-free system: the curve tangent (nullspace of the 3x4 Jacobian
-    over both minimizers' local coordinates) picks the sweep coordinate to
+    over both minimizers' local coordinates, from the evaluation that
+    accepted the last point) picks the sweep coordinate to
     freeze per step, which keeps the sweep well-posed where the first
     component of the symmetric-side minimizer turns around.  It leaves the
     triple point where the field's x grows: f(nu) - f(swap12 nu) =
@@ -468,42 +465,38 @@ def coexistence_curve(beta: float, step: float = 0.005,
     tp = origin if origin is not None else triple_point(beta, tol=tol)
 
     (sym,), (asym,) = _axis_split(tp.minimizers)
-    w_start = np.array([sym[0], sym[1], asym[0], asym[1]])
+    ev = _pair_residual(beta, np.array([sym[0], sym[1], asym[0], asym[1]]))
     # next to the butterfly point the curve is about half a pair gap long,
     # and next to the four-phase temperature it meets the neighbouring
     # triple point a few |y| away; the opening steps stay below both
-    h_open = min(step, 0.1 * _pair_gap(w_start),
+    h_open = min(step, 0.1 * _pair_gap(ev.pair),
                  abs(float(batch_xy(tp.alpha.array)[1])))
 
-    def attempt(w, tangent, h):
-        """One predictor-corrector step of length h; returns the new state,
-        'boundary' or 'fold' if a minimizer degenerates there, or None on
-        failure."""
-        pred = w + h * tangent
+    def attempt(ev, tangent, h):
+        """One predictor-corrector step of length h from the evaluation
+        ``ev``; returns the evaluation at the new state, 'boundary' or
+        'fold' if a minimizer degenerates there, or None on failure."""
         pivot = int(np.argmax(np.abs(tangent)))
-        w_new = _solve_pair(beta, pred, np.delete(np.eye(4), pivot, axis=1))
-        if w_new is None:
+        new = _solve_pair(beta, ev.w + h * tangent, pivot)
+        if new is None or new.pair.min() <= tol.clamp_margin:
             return None
-        mu_n, nu_n = _pair_from_state(w_new)
-        if mu_n.min() <= tol.clamp_margin or nu_n.min() <= tol.clamp_margin:
+        if np.abs(new.w - ev.w).max() > 0.1 + 10.0 * h:
             return None
-        if np.abs(w_new - w).max() > 0.1 + 10.0 * h:
-            return None
-        gap_prev, gap_new = _pair_gap(w), _pair_gap(w_new)
-        if gap_new < 0.25 * gap_prev:  # hopped onto the trivial mu == nu set
+        gap_new = _pair_gap(new.pair)
+        if gap_new < 0.25 * _pair_gap(ev.pair):  # hopped onto mu == nu
             return None
         # a minimizer annihilating against a saddle ends the curve on the
         # bifurcation set; eigenvalues also vanish when the pair merges
         # into a cusp
-        if (hessian_eigenvalues(beta, np.stack([mu_n, nu_n]))[:, 0].min()
+        if (hessian_eigenvalues(beta, new.pair)[:, 0].min()
                 <= tol.degenerate_eig):
             return "boundary" if gap_new > 1e-3 else "fold"
-        return w_new
+        return new
 
-    # the side where the field's x-coordinate, so chi1 - chi2, grows
-    _, dchi = _sv_chi_derivs(beta, asym)
-    tangent = _pair_tangent(beta, w_start)
-    if float((dchi[0] - dchi[1]) @ tangent[2:]) < 0.0:
+    # the side where the field's x-coordinate, so chi1 - chi2, grows: the
+    # Jacobian's nu columns hold -d chi(nu)
+    tangent = np.linalg.svd(ev.jac)[2][-1]
+    if float((ev.jac[2, 2:] - ev.jac[1, 2:]) @ tangent[2:]) < 0.0:
         tangent = -tangent
 
     points = []
@@ -514,17 +507,16 @@ def coexistence_curve(beta: float, step: float = 0.005,
             (SpinDistribution.from_array(mu), SpinDistribution.from_array(nu)),
             depth))
 
-    w = w_start.copy()
     status = "max-steps"
     h, h_failed = h_open, None
     while len(points) < max_steps:
-        gap = _pair_gap(w)
+        gap = _pair_gap(ev.pair)
         if gap < 1e-6:
             status = "fold"
             break
         h_eff = min(h, max(gap / 3.0, 1e-7)) if gap < 1e-2 else h
         # a retry with the step that has just failed would fail again
-        got = None if h_eff == h_failed else attempt(w, tangent, h_eff)
+        got = None if h_eff == h_failed else attempt(ev, tangent, h_eff)
         if isinstance(got, str):
             status = got
             break
@@ -535,23 +527,20 @@ def coexistence_curve(beta: float, step: float = 0.005,
                 status = "stalled" if gap > 1e-3 else "fold"
                 break
             continue
-        mu, nu = _pair_from_state(got)
-        alpha = batch_catastrophe(beta, nu)
-        if alpha[0] <= alpha[2]:  # past the mirrored triple point
+        if got.chi[1, 0] <= got.chi[1, 2]:  # past the mirrored triple point
             status = "triple"
             mirrored = np.array([m.array for m in tp.minimizers])[:, [0, 2, 1]]
             near = [mirrored[np.abs(mirrored - m).max(axis=1).argmin()]
-                    for m in (mu, nu)]
+                    for m in got.pair]
             emit(tp.alpha.array[[0, 2, 1]], *near, tp.depth)
             break
-        w, h_failed = got, None
-        t = _pair_tangent(beta, w)
+        ev, h_failed = got, None
+        t = np.linalg.svd(ev.jac)[2][-1]
         tangent = t if float(np.dot(t, tangent)) >= 0.0 else -t
-        emit(alpha, mu, nu, float(batch_stationary_value(beta, nu)))
+        emit(ev.chi[1], *ev.pair, float(ev.sv[1]))
         h = min(step, 2.0 * h)
     if status == "fold":
-        mu, nu = _pair_from_state(w)
-        cusp = _cusp_point(beta, 0.5 * (mu + nu))
+        cusp = _cusp_point(beta, 0.5 * (ev.pair[0] + ev.pair[1]))
         emit(batch_catastrophe(beta, cusp), cusp, cusp,
              float(batch_stationary_value(beta, cusp)))
 
@@ -607,10 +596,13 @@ def track_segment_pair(segment: AxisSegment, n: int = 40,
         top = _axis_split(tp.minimizers)[1][0][1]
     grid = _segment_grid(beta, top)
     merge = beta <= BETA_BUTTERFLY  # top at the branch point: nu1' is 0/0
-    _, y, dy = _segment_curve(beta, grid[:-1] if merge else grid)
+    # where the grid's s lie below double resolution, at beta above about
+    # 350, e^{beta (s - nu3)} / s overflows: the check below refuses that
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, y, dy = _segment_curve(beta, grid[:-1] if merge else grid)
     if merge:  # where y peaks, at the closed-form end
         y, dy = np.append(y, segment.y_hi), np.append(dy, 0.0)
-    if not (y[0] < ys[0] and ys[-1] <= y[-1]):
+    if not (y[0] < ys[0] and ys[-1] <= y[-1] and np.isfinite(dy).all()):
         raise NumericalError(f"the segment's pair curve is not resolved in "
                              f"double precision at beta = {beta}")
     j = np.searchsorted(y, ys)  # y[j - 1] < ys <= y[j]

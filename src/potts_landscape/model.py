@@ -367,17 +367,26 @@ def batch_degeneracy_lhs(beta, nu) -> np.ndarray:
     return 3.0 * prod3 * b * b - 2.0 * sym2 * b + 1.0
 
 
-def batch_catastrophe(beta, nu) -> np.ndarray:
-    """Field map: the unique alpha making nu a stationary point.
-
-    alpha_i = nu_i e^{-beta nu_i} / sum_k nu_k e^{-beta nu_k}.  The exponent
-    is shifted by beta * min_k nu_k so large beta cannot underflow every term.
-    """
+def _shifted_terms(beta, nu):
+    """The terms t_i = nu_i e^{-beta (nu_i - m)}, m = min_k nu_k, of the
+    field map and the stationary value, with their sum and m over the
+    trailing axis, kept as (..., 1).  The shift by beta m keeps large beta
+    from underflowing every term."""
     b = np.asarray(beta, dtype=float)[..., None]
     n = np.asarray(nu, dtype=float)
     shift = n.min(axis=-1, keepdims=True)
     t = n * np.exp(-b * (n - shift))
-    return t / t.sum(axis=-1, keepdims=True)
+    return t, t.sum(axis=-1, keepdims=True), shift
+
+
+def batch_catastrophe(beta, nu) -> np.ndarray:
+    """Field map: the unique alpha making nu a stationary point.
+
+    alpha_i = nu_i e^{-beta nu_i} / sum_k nu_k e^{-beta nu_k}, from the
+    shifted terms of ``_shifted_terms``.
+    """
+    t, total, _ = _shifted_terms(beta, nu)
+    return t / total
 
 
 def batch_stationary_value(beta, nu) -> np.ndarray:
@@ -387,10 +396,14 @@ def batch_stationary_value(beta, nu) -> np.ndarray:
     """
     b = np.asarray(beta, dtype=float)
     n = np.asarray(nu, dtype=float)
-    bb = b[..., None]
-    shift = n.min(axis=-1)
-    lse = np.log(np.sum(n * np.exp(-bb * (n - shift[..., None])), axis=-1))
-    return 0.5 * b * np.sum(n * n, axis=-1) + (lse - b * shift)
+    return _stationary_value(b, n, *_shifted_terms(b, n)[1:])
+
+
+def _stationary_value(b, n, total, shift):
+    """``batch_stationary_value`` from the row sum and shift of its
+    ``_shifted_terms``."""
+    return (0.5 * b * (n * n).sum(axis=-1)
+            + (np.log(total[..., 0]) - b * shift[..., 0]))
 
 
 # Typed wrappers -------------------------------------------------------------

@@ -602,7 +602,8 @@ class TestMaxwellCommand:
     @pytest.mark.parametrize("beta", ["2.0001", "2.05", repr(18 / 7), "2.5715",
                                       repr(18 / 7 + 3e-5), "2.6", "2.7",
                                       "2.765", repr(pl.BETA_ELLIS_WANG), "20",
-                                      "40", "200", "1e6"])
+                                      "40", "200", "500", "600", "650",
+                                      "1e6"])
     def test_segment_ends_without_warning(self, capsys, beta):
         """Finite records, or one error line and exit 3 where the pair
         curve's s-range is below double resolution; no RuntimeWarning."""

@@ -11,13 +11,14 @@ from potts_landscape.maxwell import (axis_minima, ivp_tangent,
                                      segment_upper_endpoint_y,
                                      track_segment_pair)
 from potts_landscape.model import (batch_catastrophe, batch_from_xy,
-                                   batch_gradient, batch_hessian, batch_uv,
+                                   batch_gradient, batch_hessian,
+                                   batch_stationary_value, batch_uv,
                                    batch_xy, hessian_eigenvalues)
 from potts_landscape.stationary import (PointKind, _branch_values,
                                         barycentric_grid,
                                         stationary_points_from_seeds)
 
-from conftest import assert_single_axis_tie
+from conftest import assert_single_axis_tie, random_interior
 
 AUNIFORM = pl.AprioriMeasure.uniform()
 EW = 4.0 * math.log(2.0)
@@ -421,6 +422,100 @@ class TestCoexistenceCurve:
     def test_step_validated(self):
         with pytest.raises(pl.DomainError):
             pl.coexistence_curve(2.6, step=0.5)
+
+    @pytest.mark.parametrize("beta", [2.6, 2.7])
+    def test_pair_jacobian_is_the_derivative(self, beta):
+        # at every tracked state of the curve: the evaluation's Jacobian
+        # against central differences of its residual, and the tangent,
+        # the Jacobian's null vector, along the step to the next state
+        curve = pl.coexistence_curve(beta, origin=pl.triple_point(beta))
+        states = [np.concatenate([m.array[:2] for m in p.minimizers])
+                  for p in curve.points[:-1]]
+        h = 1e-6
+        for k, w in enumerate(states):
+            jac = mw._pair_residual(beta, w).jac
+            fd = np.stack([(mw._pair_residual(beta, w + h * e).residual
+                            - mw._pair_residual(beta, w - h * e).residual)
+                           / (2.0 * h) for e in np.eye(4)], axis=1)
+            assert np.abs(fd - jac).max() <= 1e-7 * np.abs(jac).max()
+            tangent = np.linalg.svd(jac)[2][-1]
+            assert np.linalg.norm(jac @ tangent) <= 1e-12
+            if k + 1 < len(states):
+                secant = states[k + 1] - w
+                assert abs(tangent @ secant) >= 0.95 * np.linalg.norm(secant)
+
+    def test_pair_evaluation_matches_per_point_formulas(self, rng):
+        # the fused evaluation does the per-point arithmetic on both points
+        # at once: equal bit for bit to the kernels and derivatives of one
+        # point at a time
+        def per_point_derivs(beta, p):
+            t = p * np.exp(-beta * p)
+            tp = (1.0 - beta * p) * np.exp(-beta * p)
+            total = t.sum()
+            dtotal = np.array([tp[0] - tp[2], tp[1] - tp[2]])
+            dsv = beta * (p[:2] - p[2]) + dtotal / total
+            dchi = (np.diag(tp[:2]) * total
+                    - np.outer(t[:2], dtotal)) / (total * total)
+            return np.vstack([dsv, dchi])
+
+        for beta in (2.6, 2.7, 3.5):
+            for pair in random_interior(rng, 2 * 50, 1e-3).reshape(50, 2, 3):
+                w = pair[:, :2].ravel()
+                mu = np.array([w[0], w[1], 1.0 - w[0] - w[1]])
+                nu = np.array([w[2], w[3], 1.0 - w[2] - w[3]])
+                ev = mw._pair_residual(beta, w)
+                sv = [batch_stationary_value(beta, p) for p in (mu, nu)]
+                chi = [batch_catastrophe(beta, p) for p in (mu, nu)]
+                jac = np.hstack([per_point_derivs(beta, mu),
+                                 -per_point_derivs(beta, nu)])
+                assert np.array_equal(ev.pair, [mu, nu])
+                assert np.array_equal(ev.sv, sv)
+                assert np.array_equal(ev.chi, chi)
+                assert np.array_equal(ev.residual, [sv[0] - sv[1],
+                                                    *(chi[0] - chi[1])[:2]])
+                assert np.array_equal(ev.jac, jac)
+        assert np.isnan(mw._pair_residual(2.6, [0.7, 0.4, 0.3, 0.3])
+                        .residual).all()
+
+    def test_cusp_conditions_match_their_loop(self, rng):
+        def loop_conditions(beta, nu):
+            a = 1.0 / nu - beta
+            da = -1.0 / (nu * nu)
+            w = np.array([a[1] * a[2], a[0] * a[2], a[0] * a[1]])
+            dw = np.zeros((3, 3))
+            for i in range(3):
+                for k in range(3):
+                    if i != k:
+                        dw[i, k] = a[3 - i - k] * da[k]
+            dcubic = -(3.0 * (w * w / nu ** 2) @ dw) + 2.0 * w ** 3 / nu ** 3
+            grad = np.stack([dw.sum(axis=0), dcubic])
+            return (np.array([w.sum(), -np.sum(w ** 3 / nu ** 2)]),
+                    grad[:, :2] - grad[:, 2:])
+
+        for nu in random_interior(rng, 200, 1e-3):
+            for beta in (2.6, 2.65, 4.0):
+                got = mw._cusp_conditions(beta, nu)
+                want = loop_conditions(beta, nu)
+                assert all(np.array_equal(g, x) for g, x in zip(got, want))
+
+    @pytest.mark.parametrize("beta, evals, n_points", [(2.6, 115, 25),
+                                                       (2.7, 87, 27)])
+    def test_residual_evaluations_per_curve(self, monkeypatch, beta, evals,
+                                            n_points):
+        # one evaluation of the pair system per corrector trial and one at
+        # the start, counted where perfbench/tracer.py counts them
+        # (maxwell.residual_evals)
+        tp = pl.triple_point(beta)
+        calls = []
+        evaluate = mw._pair_residual
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+        monkeypatch.setattr(mw, "_pair_residual", counted)
+        curve = pl.coexistence_curve(beta, origin=tp)
+        assert len(calls) == evals
+        assert len(curve.points) == n_points
 
     @pytest.mark.parametrize("beta", [2.6, 2.65])
     def test_ends_at_cusp(self, beta, curve26):

@@ -204,6 +204,63 @@ class TestStationaryValue:
             assert pl.stationary_value(beta, pl.SpinDistribution.from_array(n)) == pytest.approx(direct, abs=1e-10)
 
 
+def _written_out_catastrophe(beta, nu):
+    """batch_catastrophe with its shifted terms written out in place."""
+    b = np.asarray(beta, dtype=float)[..., None]
+    n = np.asarray(nu, dtype=float)
+    shift = n.min(axis=-1, keepdims=True)
+    t = n * np.exp(-b * (n - shift))
+    return t / t.sum(axis=-1, keepdims=True)
+
+
+def _written_out_stationary_value(beta, nu):
+    """batch_stationary_value with its shifted terms written out in place."""
+    b = np.asarray(beta, dtype=float)
+    n = np.asarray(nu, dtype=float)
+    shift = n.min(axis=-1)
+    lse = np.log(np.sum(n * np.exp(-b[..., None] * (n - shift[..., None])),
+                        axis=-1))
+    return 0.5 * b * np.sum(n * n, axis=-1) + (lse - b * shift)
+
+
+class TestSharedKernelTerms:
+    """The field map and the stationary value share one helper for their
+    shifted terms; both equal the formulas written out, bit for bit."""
+
+    def _assert_both_equal(self, beta, nu):
+        for kernel, written in ((batch_catastrophe, _written_out_catastrophe),
+                                (batch_stationary_value,
+                                 _written_out_stationary_value)):
+            got, want = kernel(beta, nu), written(beta, nu)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_random_rows(self, rng):
+        nus = random_interior(rng, 500, margin=1e-6)
+        for beta in (0.3, 2.6, 4.0 * math.log(2.0), 17.0):
+            self._assert_both_equal(beta, nus)
+            for n in nus[:20]:
+                self._assert_both_equal(beta, n)
+
+    def test_broadcast_betas(self, rng):
+        nus = random_interior(rng, 400, margin=1e-4)
+        self._assert_both_equal(rng.uniform(0.1, 40.0, 400), nus)
+        self._assert_both_equal(rng.uniform(0.1, 40.0, (7, 1)), nus[:30])
+        self._assert_both_equal(np.array([2.6, 3.0]), nus[:2])
+
+    def test_large_beta_where_the_shift_matters(self, rng):
+        # unshifted, the terms fall to e^{-beta nu}, down to e^{-333} at
+        # beta 1e3, and all of them underflow at the uniform point at 3e3
+        nus = random_interior(rng, 300, margin=1e-9)
+        betas = np.geomspace(50.0, 1e3, 300)
+        self._assert_both_equal(betas, nus)
+        self._assert_both_equal(1e3, nus)
+        self._assert_both_equal(1e3, np.array([0.8, 0.15, 0.05]))
+        uniform = np.full(3, 1.0 / 3.0)
+        self._assert_both_equal(3e3, uniform)
+        assert batch_stationary_value(3e3, uniform) == pytest.approx(-500.0)
+
+
 class TestCoordinates:
     def test_uniform_maps_to_origin(self):
         assert pl.to_xy(UNIFORM) == pl.CoordXY(0.0, 0.0)
