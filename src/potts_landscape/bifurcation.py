@@ -5,9 +5,14 @@ symmetrized graph of an explicit algebraic function ``gamma`` over a union
 of intervals; pushing that graph through the field map yields the
 constant-temperature slice of the bifurcation set.  Globally the set is the
 image of two explicit patches assigning to every simplex point the two
-inverse temperatures at which it is degenerate.  A local Taylor expansion
-of the slice at its on-axis cusp provides the diagnostics for the unfolding
-at the butterfly temperature 18/7.
+inverse temperatures at which it is degenerate.  The Taylor expansion of
+the slice at its on-axis cusp, the diagnostic of the unfolding at the
+butterfly temperature 18/7, is closed-form as well: for 2 < b < 8/3
+
+    c2 = -b^2 (7b - 18) / (6 (b - 2)),
+    c3 = sqrt(3) b^3 (7b - 18) / (54 (b - 3)),
+    c4 = b^4 (55b^4 - 552b^3 + 2078b^2 - 3496b + 2232)
+         / (72 (b - 3)^2 (b - 2)^2).
 """
 
 from __future__ import annotations
@@ -18,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, RemovableSingularityError
-from .model import (Permutation, PERMUTATIONS, batch_catastrophe,
-                    batch_degeneracy_lhs, batch_from_xy, batch_pq, batch_uv)
-from .rootfind import bracketed_root
+from .model import (Permutation, PERMUTATIONS, _interior_lattice,
+                    batch_catastrophe, batch_degeneracy_lhs, batch_pq)
 
 BETA_BEAK = 8.0 / 3.0
 
@@ -260,11 +264,7 @@ def surface_patches(grid_density: int = 64, beta_cap: float = 1e8):
     """
     if grid_density < 16:
         raise DomainError(f"grid_density must be >= 16, got {grid_density}")
-    i, j = np.meshgrid(np.arange(1, grid_density),
-                       np.arange(1, grid_density), indexing="ij")
-    keep = (i + j) <= grid_density - 1
-    nu = np.stack([i[keep], j[keep],
-                   grid_density - i[keep] - j[keep]], axis=-1) / float(grid_density)
+    nu = _interior_lattice(grid_density) / float(grid_density)
     if grid_density % 3 != 0:  # make sure the pinch point itself is sampled
         nu = np.vstack([nu, np.full((1, 3), 1.0 / 3.0)])
 
@@ -317,28 +317,16 @@ class ButterflyCoefficients:
     y0: float
 
 
-def _locus_y(beta: float, x: float) -> float:
-    """y of the degenerate locus at abscissa x next to the axis: the root
-    on (-1, 0) of the plane condition, a cubic in y whose other two roots
-    are complex at x = 0 for beta < 8/3 (see ``butterfly_expansion``)."""
-    def plane(y):
-        return (degenerate_locus_xy(beta, x, y),
-                (12.0 * beta * y
-                 + beta * beta * (2.0 * ((y - 1.0) ** 2 - 3.0 * x * x)
-                                  + (2.0 * y + 1.0) * 2.0 * (y - 1.0))) / 9.0)
-    return bracketed_root(plane, -1.0, 0.0)
-
-
-def butterfly_expansion(beta: float, step: float = 1e-3) -> ButterflyCoefficients:
-    """Taylor diagnostics of the slice at its on-axis cusp for 2 < beta < 8/3.
+def butterfly_expansion(beta: float) -> ButterflyCoefficients:
+    """Taylor coefficients of the slice at its on-axis cusp for
+    2 < beta < 8/3, in the closed forms of the module docstring.
 
     The degenerate locus through the cusp is the graph of an even function
-    of x; its push-forward through the field map, written in log-ratio
-    target coordinates, splits into a symmetric (even-order) and an
-    antisymmetric (odd-order) component.  The x^2, x^3, x^4 coefficients are
-    recovered from samples at x = step, 2*step, 4*step by solving the small
-    Vandermonde system, which removes the two lowest truncation orders
-    (two Richardson levels).
+    y(x); its push-forward through the field map, in log-ratio target
+    coordinates (u, v), splits into the symmetric part (u + v)/2, even in
+    x, and the antisymmetric part (v - u)/2, odd in x.  Their series about
+    the cusp give c2, c4 and c3.  The factor 7b - 18 divides both c2 and
+    c3, so both vanish at 18/7, where c4 = 39366/2401.
     """
     beta = float(beta)
     if not 2.0 < beta < BETA_BEAK:
@@ -348,27 +336,12 @@ def butterfly_expansion(beta: float, step: float = 1e-3) -> ButterflyCoefficient
     # 3 b (2 - b) y^2 + (b - 3)^2 = (b y - b + 3)(2 b y^2 - b y + 3 - b),
     # whose quadratic has no real root below 8/3
     y0 = (beta - 3.0) / beta
-
-    def uv_on_locus(x: float, y: float):
-        return batch_uv(batch_catastrophe(beta, batch_from_xy([x, y])))
-
-    base_uv = uv_on_locus(0.0, y0)
-    s0 = 0.5 * (base_uv[0] + base_uv[1])
-
-    hs = np.array([step, 2.0 * step, 4.0 * step])
-    sym = np.empty(3)
-    asym = np.empty(3)
-    for k, h in enumerate(hs):
-        uv = uv_on_locus(float(h), _locus_y(beta, float(h)))
-        sym[k] = 0.5 * (uv[0] + uv[1]) - s0
-        asym[k] = 0.5 * (uv[1] - uv[0])
-
-    vand_even = np.stack([hs ** 2, hs ** 4, hs ** 6], axis=-1)
-    vand_odd = np.stack([hs, hs ** 3, hs ** 5], axis=-1)
-    s2, s4, _ = np.linalg.solve(vand_even, sym)
-    _, a3, _ = np.linalg.solve(vand_odd, asym)
-    return ButterflyCoefficients(beta=beta, c2=float(s2), c3=float(a3),
-                                 c4=float(s4), y0=y0)
+    b, onset = beta, 7.0 * beta - 18.0
+    c2 = -b * b * onset / (6.0 * (b - 2.0))
+    c3 = math.sqrt(3.0) * b ** 3 * onset / (54.0 * (b - 3.0))
+    quartic = (((55.0 * b - 552.0) * b + 2078.0) * b - 3496.0) * b + 2232.0
+    c4 = b ** 4 * quartic / (72.0 * ((b - 3.0) * (b - 2.0)) ** 2)
+    return ButterflyCoefficients(beta=beta, c2=c2, c3=c3, c4=c4, y0=y0)
 
 
 def slice_points_pq(curves) -> np.ndarray:

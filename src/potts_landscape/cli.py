@@ -24,8 +24,9 @@ from .maxwell import (BETA_ELLIS_WANG, beyond_ellis_wang_segment,
                       coexistence_curve, symmetric_segment,
                       track_segment_pair)
 from .model import (DEFAULT_TOL, AprioriMeasure, CoordPQ, ModelParams,
-                    _check_beta, batch_free_energy, batch_from_xy, batch_pq,
-                    batch_uv, batch_xy, from_pq, from_uv)
+                    _check_beta, _interior_lattice, batch_free_energy,
+                    batch_from_xy, batch_pq, batch_uv, batch_xy, from_pq,
+                    from_uv)
 from .stationary import MinimaCensus, PointKind, _census_batch, census
 
 SQRT3 = math.sqrt(3.0)
@@ -148,6 +149,9 @@ def label_slice_cells(beta, curves, extent, resolution=512, tol=DEFAULT_TOL):
 
 def _label_fold_cells(beta, polylines, extent, resolution, tol):
     from .regions import label_regions
+    if not math.isfinite(2.0 * extent):
+        raise DomainError(f"--extent {extent!r} is too large to label cells: "
+                          "the window width 2 * extent is not finite")
     window = (-extent, extent, -extent, extent)
     regions = label_regions(polylines, window, resolution)
     results = iter(_census_batch(
@@ -213,9 +217,7 @@ def _surface_mesh_obj(fh, grid, beta_max):
     lattice points of ``surface_patches`` up to ``beta_max``, each lattice
     cell split into an up and a down triangle where all three corners are
     vertices."""
-    i, j = np.meshgrid(np.arange(1, grid), np.arange(1, grid), indexing="ij")
-    cell = i + j <= grid - 1
-    i, j = i[cell], j[cell]
+    i, j, _ = _interior_lattice(grid).T
     fh.write(f"# potts-landscape v1 surface mesh, grid {grid}\n")
     offset = 0
     for patch in surface_patches(grid):
@@ -245,9 +247,10 @@ def cmd_surface(args) -> int:
         return 0
     if args.format == "svg":
         raise DomainError("surface supports csv, json or obj output")
-    plus, minus = surface_patches(args.grid)
-    _write_records(args, "surface_point", _surface_records((plus, minus),
-                                                           args.beta_max))
+    table = _surface_records(surface_patches(args.grid), args.beta_max)
+    note = (None if len(table) else "no lattice point of either sheet has "
+            f"beta <= {args.beta_max!r}")
+    _write_records(args, "surface_point", table, note)
     return 0
 
 

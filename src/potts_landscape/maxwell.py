@@ -185,7 +185,9 @@ def _zero_field_end(beta: float):
     if beta < 8.0 / 3.0:  # phi has no minimum below 1/4
         return None
     s_min = (2.0 / (3.0 * beta)) / (1.0 + math.sqrt(1.0 - 8.0 / (3.0 * beta)))
-    if math.log((1.0 - 2.0 * s_min) / s_min) >= beta * (1.0 - 3.0 * s_min):
+    # s_min underflows to 0 near the float maximum, which _pair_end refuses
+    if s_min > 0.0 and (math.log((1.0 - 2.0 * s_min) / s_min)
+                        >= beta * (1.0 - 3.0 * s_min)):
         return None
     return _pair_end(beta, 1, s_min)
 

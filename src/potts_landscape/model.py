@@ -216,6 +216,15 @@ def batch_from_pq(pq: np.ndarray) -> np.ndarray:
     return batch_from_uv(np.stack([u, v], axis=-1))
 
 
+def _interior_lattice(n: int) -> np.ndarray:
+    """Integer coordinates (i, j, n - i - j), shape (m, 3), of the interior
+    nodes of the barycentric lattice of density n: i, j >= 1 and
+    i + j <= n - 1, ordered by i, then j."""
+    i, j = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="ij")
+    keep = i + j <= n - 1
+    return np.stack([i[keep], j[keep], n - i[keep] - j[keep]], axis=-1)
+
+
 def to_xy(point) -> CoordXY:
     x, y = batch_xy(point.array)
     return CoordXY(float(x), float(y))

@@ -85,8 +85,18 @@ def rasterize_curves(polylines: list, extent: tuple, resolution: int = 512) -> n
         pts = np.asarray(line, dtype=float)
         if len(pts) < 2:
             continue
-        px = (pts[:, 0] - xmin) * sx
-        py = (pts[:, 1] - ymin) * sy
+        px = np.clip((pts[:, 0] - xmin) * sx, -1e300, 1e300)
+        py = np.clip((pts[:, 1] - ymin) * sy, -1e300, 1e300)
+        # a point more than 2^30 pixels out moves towards the grid's centre
+        # to that distance: a segment into the grid turns by at most
+        # resolution / 2^30 radians, and the int64 cast and the 2 k |dx| of
+        # _polyline_pixels stay exact
+        c = 0.5 * (resolution - 1)
+        r = np.maximum(np.abs(px - c), np.abs(py - c))
+        far = r > 2.0 ** 30
+        shrink = 2.0 ** 30 / r[far]
+        px[far] = c + (px[far] - c) * shrink
+        py[far] = c + (py[far] - c) * shrink
         inside = ((px > -resolution) & (px < 2 * resolution)
                   & (py > -resolution) & (py < 2 * resolution))
         x, y = _polyline_pixels(np.round(px).astype(np.int64),

@@ -39,8 +39,9 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .model import (DEFAULT_TOL, ModelParams, SpinDistribution,
-                    ToleranceConfig, batch_free_energy, batch_gradient,
-                    batch_hessian, batch_xy, hessian_eigenvalues)
+                    ToleranceConfig, _interior_lattice, batch_free_energy,
+                    batch_gradient, batch_hessian, batch_xy,
+                    hessian_eigenvalues)
 from .rootfind import _bracketed_halley
 
 
@@ -76,11 +77,7 @@ class MinimaCensus:
 def barycentric_grid(density: int, corner_margin: float = 1e-3) -> np.ndarray:
     """Interior nodes of the barycentric lattice of the given density,
     augmented with near-corner, near-edge-midpoint and centroid seeds."""
-    i, j = np.meshgrid(np.arange(1, density), np.arange(1, density),
-                       indexing="ij")
-    keep = (i + j) <= density - 1
-    i, j = i[keep], j[keep]
-    pts = np.stack([i, j, density - i - j], axis=-1) / float(density)
+    pts = _interior_lattice(density) / float(density)
 
     m = corner_margin
     extras = [(1 - 2 * m, m, m), (m, 1 - 2 * m, m), (m, m, 1 - 2 * m),
@@ -221,7 +218,9 @@ def _classified(beta: float, alpha: np.ndarray, roots: np.ndarray,
     where it owns none."""
     keep = _dedupe_xy(roots, owner, tol.merge_radius)
     roots = roots[keep]
-    eigs = hessian_eigenvalues(beta, roots).tolist()
+    # with no roots every field is refused below; the Hessian is skipped,
+    # as its 2 beta overflows near the float maximum, where none converges
+    eigs = hessian_eigenvalues(beta, roots).tolist() if len(roots) else []
     values = batch_free_energy(beta, alpha[keep], roots).tolist()
     points = [[] for _ in range(m)]
     for i, row, (lo, hi), value in zip(owner[keep].tolist(), roots, eigs,

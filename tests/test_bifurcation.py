@@ -8,8 +8,10 @@ from potts_landscape.bifurcation import (BETA_BEAK,
                                          check_slice_consistency,
                                          fold_lines_nu, fold_lines_pq,
                                          slice_points_pq)
-from potts_landscape.model import (batch_degeneracy_lhs, batch_gradient,
-                                   batch_pq, batch_uv, batch_xy)
+from potts_landscape.model import (batch_catastrophe, batch_degeneracy_lhs,
+                                   batch_from_xy, batch_gradient, batch_pq,
+                                   batch_uv, batch_xy)
+from potts_landscape.rootfind import bracketed_root
 
 from conftest import random_interior
 
@@ -317,7 +319,65 @@ class TestDegenerateLocusPlane:
         assert cubic(-1.0) < 0.0 < cubic(0.0)
 
 
+def richardson_butterfly(beta, step=1e-3):
+    """(c2, c3, c4) of the slice at its on-axis cusp, estimated from the
+    locus itself: its push-forward is sampled at x = step, 2 step and
+    4 step, each y a root of the plane condition on (-1, 0), and the small
+    Vandermonde systems remove the two lowest truncation orders of the
+    symmetric (even) and antisymmetric (odd) parts."""
+    def uv_on_locus(x, y):
+        return batch_uv(batch_catastrophe(beta, batch_from_xy([x, y])))
+
+    def locus_y(x):
+        def plane(y):
+            return (pl.degenerate_locus_xy(beta, x, y),
+                    (12.0 * beta * y
+                     + beta * beta * (2.0 * ((y - 1.0) ** 2 - 3.0 * x * x)
+                                      + (2.0 * y + 1.0) * 2.0 * (y - 1.0)))
+                    / 9.0)
+        return bracketed_root(plane, -1.0, 0.0)
+
+    base = uv_on_locus(0.0, (beta - 3.0) / beta)
+    hs = np.array([step, 2.0 * step, 4.0 * step])
+    sym, asym = np.empty(3), np.empty(3)
+    for k, h in enumerate(hs):
+        uv = uv_on_locus(float(h), locus_y(float(h)))
+        sym[k] = 0.5 * (uv[0] + uv[1]) - 0.5 * (base[0] + base[1])
+        asym[k] = 0.5 * (uv[1] - uv[0])
+    s2, s4, _ = np.linalg.solve(np.stack([hs ** 2, hs ** 4, hs ** 6], -1), sym)
+    _, a3, _ = np.linalg.solve(np.stack([hs, hs ** 3, hs ** 5], -1), asym)
+    return s2, a3, s4
+
+
 class TestButterflyExpansion:
+    def test_exact_at_onset(self):
+        coeff = pl.butterfly_expansion(18.0 / 7.0)
+        assert abs(coeff.c2) <= 1e-12
+        assert abs(coeff.c3) <= 1e-12
+        assert coeff.c4 == pytest.approx(39366.0 / 2401.0, rel=1e-12)
+
+    @pytest.mark.parametrize("beta, c2, c3, c4", [
+        (2.3, 5.5838888888888888889, 1.0592682045982012449,
+         59.59136185122197027),
+        (2.55, 0.29556818181818181818, 0.17728261703303946131,
+         19.306501818612258953),
+        (2.6, -0.37555555555555555556, -0.28187523142435728992,
+         12.076719135802469136)])
+    def test_pinned_values(self, beta, c2, c3, c4):
+        coeff = pl.butterfly_expansion(beta)
+        assert (coeff.c2, coeff.c3, coeff.c4) == pytest.approx((c2, c3, c4),
+                                                               rel=1e-12)
+        assert coeff.y0 == (beta - 3.0) / beta
+
+    def test_agrees_with_richardson_reference(self):
+        for beta in np.linspace(2.02, 2.66, 33):
+            coeff = pl.butterfly_expansion(beta)
+            ref = richardson_butterfly(beta)
+            for got, want, tol in zip((coeff.c2, coeff.c3, coeff.c4), ref,
+                                      (1e-6, 1e-6, 1e-3)):
+                assert abs(got - want) <= tol * max(abs(got), 1.0), (
+                    beta, got, want)
+
     def test_quadratic_and_cubic_vanish_at_onset(self):
         coeff = pl.butterfly_expansion(18.0 / 7.0)
         assert abs(coeff.c2) <= 1e-4

@@ -1,6 +1,8 @@
 """Cell labelling checked against a scalar Bresenham raster and an
 independent frontier flood fill."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,20 @@ def test_far_end_is_clipped_to_the_grid():
                            pixel_window(64), 64)
     assert_same_raster([[(-100.0, -90.0), (150.0, 170.0)]],
                        pixel_window(64), 64)
+
+
+def test_end_beyond_int64_keeps_its_direction():
+    """A segment from inside to 3e40 pixels away, or to infinity, marks
+    the pixels of the same line ended 300 pixels away, without a warning
+    from the int64 cast."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for far, near in (((3e40, 1e40), (310.0, 110.0)),
+                          ((np.inf, 10.0), (310.0, 10.0))):
+            assert np.array_equal(
+                rasterize_curves([[(10.0, 10.0), far]], pixel_window(64), 64),
+                rasterize_curves([[(10.0, 10.0), near]], pixel_window(64),
+                                 64))
 
 
 @pytest.mark.parametrize("resolution", [16, 101, 512, 600])
