@@ -154,15 +154,28 @@ def _label_fold_cells(beta, polylines, extent, resolution, tol):
                           "the window width 2 * extent is not finite")
     window = (-extent, extent, -extent, extent)
     regions = label_regions(polylines, window, resolution)
+    fields = [_probe_field(r) for r in regions]
     results = iter(_census_batch(
-        [ModelParams(beta, from_pq(CoordPQ(*r.probe)))
-         for r in regions if r.resolved], tol))
+        [ModelParams(beta, alpha) for alpha in fields if alpha is not None],
+        tol))
     labelled = []
-    for r in regions:
-        cens = next(results) if r.resolved else None
+    for r, alpha in zip(regions, fields):
+        cens = next(results) if alpha is not None else None
         labelled.append((r, cens.n_local_minima
                          if isinstance(cens, MinimaCensus) else None))
     return labelled
+
+
+def _probe_field(region):
+    """The field at a resolved region's probe, or None where the region is
+    unresolved or its probe lies so far out that the field has a component
+    below the simplex margin (its cell is then labelled '?')."""
+    if not region.resolved:
+        return None
+    try:
+        return from_pq(CoordPQ(*region.probe))
+    except DomainError:
+        return None
 
 
 def cmd_slice(args) -> int:

@@ -223,8 +223,42 @@ def write_json(fh, kind: str, records) -> None:
     fh.write("\n]\n")
 
 
+def _records(rows: list, columns, text: bool) -> list:
+    """Records from one call of numpy's C reader; with ``text``, numeric
+    cells are read as text and parsed by float and int ('' is None)."""
+    table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1, dtype=[
+        (name, object if text or t is str else t) for name, t in columns])
+    records = [{} for _ in range(len(table))]
+    for name, typ in columns:
+        values = table[name].tolist()
+        if text:
+            values = [typ(cell) if cell != "" else None for cell in values]
+        for rec, value in zip(records, values):
+            rec[name] = value
+    return records
+
+
+def _refuse(path: str, columns, lines: list) -> None:
+    """DomainError at the first bad body line, if Python finds one."""
+    for lineno, line in enumerate(lines, start=3):
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split(",")
+        if len(cells) != len(columns):
+            raise DomainError(f"{path} line {lineno}: {len(cells)} cells, "
+                              f"expected {len(columns)}")
+        for (name, typ), cell in zip(columns, cells):
+            try:
+                if cell:
+                    typ(cell)
+            except ValueError:
+                raise DomainError(f"{path} line {lineno}: cannot parse "
+                                  f"{name} = {cell!r}") from None
+
+
 def read_csv(path: str):
-    """Returns (kind, records); numbers are parsed back to full precision."""
+    """Returns (kind, records); numbers are parsed back to full precision.
+    A file numpy refuses is checked line by line, then read as text."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith(MAGIC):
@@ -236,24 +270,20 @@ def read_csv(path: str):
         names = fh.readline().rstrip("\n").split(",")
         if names != [name for name, _ in columns]:
             raise DomainError(f"column mismatch for kind {kind!r} in {path}")
-        records = []
-        for lineno, line in enumerate(fh, start=3):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if len(cells) != len(columns):
-                raise DomainError(f"{path} line {lineno}: {len(cells)} cells, "
-                                  f"expected {len(columns)}")
-            rec = {}
-            for (name, typ), cell in zip(columns, cells):
-                try:
-                    rec[name] = typ(cell) if cell != "" else None
-                except ValueError:
-                    raise DomainError(f"{path} line {lineno}: cannot parse "
-                                      f"{name} = {cell!r}") from None
-            records.append(rec)
-    return kind, records
+        body = fh.read()
+    lines = body.split("\n")
+    rows = [ln for ln in lines if ln[:1] != "#"] if "#" in body else lines
+    if not any(rows):  # numpy warns on a body without rows
+        return kind, []
+    # numbers are read as text where numpy refuses them (an empty cell) or
+    # misreads them (it takes \x1c-\x1f for spaces and letters for digits)
+    text = (not body.isascii() or any(c in body for c in "\x1c\x1d\x1e\x1f")
+            or any(r[:1] == "," or r[-1:] == "," or ",," in r for r in rows))
+    try:
+        return kind, _records(rows, columns, text)
+    except ValueError:
+        _refuse(path, columns, lines)
+    return kind, _records(rows, columns, True)
 
 
 def read_json(path: str):
@@ -281,7 +311,5 @@ def read_json(path: str):
                      | {field for field, _ in columns}), kind)
     if kind not in SCHEMAS:
         raise DomainError(f"unknown record kind {kind!r} in {path}")
-    records = []
-    for obj in data:
-        records.append({name: obj.get(name) for name, _ in SCHEMAS[kind]})
-    return kind, records
+    return kind, [{name: obj.get(name) for name, _ in SCHEMAS[kind]}
+                  for obj in data]

@@ -38,17 +38,23 @@ class SvgCanvas:
 
     def _polylines(self, lines, color, width, dashed=False):
         """One <polyline> through each (k, 2) point array of ``lines``, a
-        list or an (n, k, 2) array; all points are mapped and formatted in
-        one pass."""
+        list or an (n, k, 2) array; all points are mapped in one pass, and
+        each line of an array is formatted by one %-format."""
         if not len(lines):
+            return
+        dash = ' stroke-dasharray="6 4"' if dashed else ""
+        head = (f'<polyline fill="none" stroke="{color}" '
+                f'stroke-width="{width}"{dash} points="')
+        if isinstance(lines, np.ndarray):
+            line = head + " ".join(["%.2f,%.2f"] * lines.shape[1]) + '"/>'
+            xy = np.stack([self._tx(lines[..., 0]), self._ty(lines[..., 1])],
+                          axis=-1).reshape(len(lines), -1)
+            self._parts.extend(map(line.__mod__, map(tuple, xy.tolist())))
             return
         pts = np.concatenate(lines)
         xy = [f"{x:.2f},{y:.2f}" for x, y in zip(self._tx(pts[:, 0]).tolist(),
                                                 self._ty(pts[:, 1]).tolist())]
         ends = np.cumsum([len(line) for line in lines]).tolist()
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
-        head = (f'<polyline fill="none" stroke="{color}" '
-                f'stroke-width="{width}"{dash} points="')
         self._parts.extend(f'{head}{" ".join(xy[a:b])}"/>'
                            for a, b in zip([0] + ends, ends))
 
@@ -106,31 +112,36 @@ _CORNER_DI = np.array([0, 1, 1, 0])
 _CORNER_DJ = np.array([0, 0, 1, 1])
 
 
-def contour_segments(xs, ys, values, level):
-    """Marching-squares line segments of one iso-level, (n, 2, 2).
+def _contours(xs, ys, values, levels):
+    """Marching-squares segments (n, 2, 2) of each level in turn.
 
-    values has shape (len(xs), len(ys)); cells with a NaN corner are
-    skipped.  An edge is crossed where exactly one end lies above the
-    level, at the linear interpolant.  A cell's crossings are taken in
-    edge order and paired first with second, third with fourth (the
-    saddle case); segments come in raster order of their cells.
+    values has shape (len(xs), len(ys)); the corners of the cells without
+    a NaN corner are stacked once for all levels.  An edge is crossed where
+    exactly one end lies above the level, at the linear interpolant.  A
+    cell's crossings are taken in edge order and paired first with second,
+    third with fourth (the saddle case), cells in raster order.
     """
-    v = np.asarray(values, dtype=float)
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    v, xs, ys, levels = (np.asarray(a, dtype=float)
+                         for a in (values, xs, ys, levels))
     corners = np.stack([v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]],
                        axis=-1)
-    above = corners > level
-    crossed = ((above != np.roll(above, -1, axis=-1))
-               & ~np.isnan(corners).any(axis=-1, keepdims=True))
-    i, j, start = np.nonzero(crossed)
+    i, j = np.nonzero(~np.isnan(corners).any(axis=-1))
+    corners = corners[i, j]
+    above = corners > levels[:, None, None]
+    level, cell, start = np.nonzero(above != np.roll(above, -1, axis=-1))
     end = (start + 1) % 4
-    ia, ja = i + _CORNER_DI[start], j + _CORNER_DJ[start]
-    ib, jb = i + _CORNER_DI[end], j + _CORNER_DJ[end]
-    ca, cb = v[ia, ja], v[ib, jb]
-    t = (level - ca) / (cb - ca)
+    ia, ja = i[cell] + _CORNER_DI[start], j[cell] + _CORNER_DJ[start]
+    ib, jb = i[cell] + _CORNER_DI[end], j[cell] + _CORNER_DJ[end]
+    ca, cb = corners[cell, start], corners[cell, end]
+    t = (levels[level] - ca) / (cb - ca)
     pts = np.stack([xs[ia] + t * (xs[ib] - xs[ia]),
                     ys[ja] + t * (ys[jb] - ys[ja])], axis=-1)
     return pts.reshape(-1, 2, 2)
+
+
+def contour_segments(xs, ys, values, level):
+    """Marching-squares line segments of one iso-level, (n, 2, 2)."""
+    return _contours(xs, ys, values, [level])
 
 
 def render_curves(extent, bifurcation=(), maxwell=(), labels=(), markers=(),
@@ -162,9 +173,7 @@ def render_potential(xs, ys, values, minima=(), n_levels=24, size=640,
     canvas = SvgCanvas(extent, size=size)
     canvas.frame(title)
     vals = np.where(np.isfinite(values), values, np.nan)
-    for level in levels:
-        canvas.segments(contour_segments(xs, ys, vals, level),
-                        color="#555", width=0.8)
+    canvas.segments(_contours(xs, ys, vals, levels), color="#555", width=0.8)
     for x, y in minima:
         canvas.circle(x, y)
     return canvas.render()

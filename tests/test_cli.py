@@ -483,6 +483,22 @@ def test_label_cells_failed_probe_census_is_unknown(tmp_path, beta):
     assert "?" in labels and "0" not in labels
 
 
+@pytest.mark.parametrize("extent", ["1e4", "1e10"])
+def test_label_cells_far_probe_is_unknown(capsys, tmp_path, extent):
+    # the probe of the window's outer cell maps to a field with a component
+    # below the simplex margin: that cell reads ?, and the figure is drawn
+    out = tmp_path / "slice.svg"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["slice", "--beta", "2.3", "--format", "svg",
+                    "--label-cells", "--extent", extent,
+                    "--out", str(out)]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    labels = re.findall(r">([^<>]*)</text>", out.read_text())
+    assert "?" in labels and len(labels) >= 2  # the title and a cell
+
+
 @pytest.mark.parametrize("argv", [
     ["census", "--beta", "1e200", "--alpha", "0.2,0.3,0.5"],
     ["potential", "--beta", "1e200", "--format", "svg"],

@@ -5,7 +5,9 @@ import dataclasses
 import io
 import json
 import math
+import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +334,253 @@ class TestReadCsvRefusals:
         kind, records = read_csv(path)
         assert kind == "potential_grid" and len(records) == 2
         assert records[0]["f"] == 4.5
+
+
+# ---------------------------------------------------------------------------
+# read_csv against the row-by-row reader it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_read_csv(path):
+    """The row-by-row reader: each line split on ',', each cell parsed by
+    its column's Python type, an empty cell read as None; lines that are
+    empty or start with '#' are skipped."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        if not header.startswith(MAGIC):
+            raise pl.DomainError(f"{path} is not a potts-landscape CSV file")
+        kind = header[len(MAGIC):].strip()
+        if kind not in SCHEMAS:
+            raise pl.DomainError(f"unknown record kind {kind!r} in {path}")
+        columns = SCHEMAS[kind]
+        names = fh.readline().rstrip("\n").split(",")
+        if names != [name for name, _ in columns]:
+            raise pl.DomainError(f"column mismatch for kind {kind!r} in "
+                                 f"{path}")
+        records = []
+        for lineno, line in enumerate(fh, start=3):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            cells = line.split(",")
+            if len(cells) != len(columns):
+                raise pl.DomainError(f"{path} line {lineno}: {len(cells)} "
+                                     f"cells, expected {len(columns)}")
+            rec = {}
+            for (name, typ), cell in zip(columns, cells):
+                try:
+                    rec[name] = typ(cell) if cell != "" else None
+                except ValueError:
+                    raise pl.DomainError(f"{path} line {lineno}: cannot "
+                                         f"parse {name} = {cell!r}") from None
+            records.append(rec)
+    return kind, records
+
+
+def reading(reader, path):
+    """("read", kind, records) or ("refused", message); any warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return ("read",) + reader(path)
+        except pl.DomainError as exc:
+            return ("refused", str(exc))
+
+
+def cell_key(value):
+    """A cell's type and value, a float by its bit pattern."""
+    if isinstance(value, float):
+        return float, struct.pack("<d", value)
+    return type(value), value
+
+
+def assert_read_as_oracle(path):
+    """read_csv and the oracle read the file alike: the same records, key
+    order, types and bits, or the same refusal.  Returns the outcome."""
+    got, want = reading(read_csv, path), reading(oracle_read_csv, path)
+    assert got[0] == want[0], (got[:1] + got[-1:], want[:1] + want[-1:])
+    if got[0] == "refused":
+        assert got == want
+        return got
+    assert got[1] == want[1] and len(got[2]) == len(want[2])
+    for have, expect in zip(got[2], want[2]):
+        assert list(have) == list(expect)
+        assert ([cell_key(v) for v in have.values()]
+                == [cell_key(v) for v in expect.values()]), (have, expect)
+    return got
+
+
+def csv_lines(rng, kind, n, texts=ASCII_TEXT):
+    """The header and the rows of a random table written by write_csv."""
+    table, _ = random_table(rng, kind, n, texts=texts)
+    return written(write_csv, kind, table).split("\n")
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+@pytest.mark.parametrize("texts", [ASCII_TEXT, TEXT], ids=["ascii", "text"])
+@pytest.mark.parametrize("n", [0, 1, 9, 600])
+def test_random_tables_read_as_oracle(tmp_path, kind, texts, n):
+    rng = np.random.default_rng([n, len(texts), *map(ord, kind)])
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join(csv_lines(rng, kind, n, texts)))
+    assert assert_read_as_oracle(str(path))[0] == "read"
+
+
+# Cell texts a mutated file may hold: the spellings of numbers that both
+# parsers take or both refuse, the ones only Python's takes, and the
+# characters on which numpy's number parser and Python's disagree.
+ODD_CELLS = (
+    "", " ", " 1.5 ", "\t2\t", "\x0b3\x0c", "nan", "-nan", "NaN", "+inf",
+    "-Infinity", "inf", "1e999", "-0", "+5", "007", "1.0", "1_0", "1__0",
+    "_1", "1e5", ".5", "5.", "0x10", "1,5", "99999999999999999999",
+    "-9223372036854775808", "9223372036854775807", "9223372036854775808",
+    "5\x1c", "\x1f5", "5\x00", "\u0663", "1\u0663", "\u30ec", "1\u30ec2",
+    "\u00a05\u2003", "5\x85", "\uff15", "\U0001d7d8", "abc", "1.5x",
+    "#1", "long " * 40, "# not a comment",
+)
+
+
+def mutate(rng, lines, kind):
+    """One edit of a written CSV's lines (header and names kept)."""
+    ncols = len(SCHEMAS[kind])
+    body = lines[2:]
+    rows = [k for k, line in enumerate(body) if line]
+    edit = rng.integers(0, 9)
+    if edit == 0 and rows:  # cells replaced by odd texts
+        for _ in range(rng.integers(1, 4)):
+            k = rows[rng.integers(len(rows))]
+            cells = body[k].split(",")
+            cells[rng.integers(len(cells))] = ODD_CELLS[
+                rng.integers(len(ODD_CELLS))]
+            body[k] = ",".join(cells)
+    elif edit == 1 and rows:  # a column emptied in some rows
+        col = rng.integers(ncols)
+        for k in rows:
+            if rng.random() < 0.5:
+                cells = body[k].split(",")
+                cells[col % len(cells)] = ""
+                body[k] = ",".join(cells)
+    elif edit == 2:  # comment, blank and whitespace lines
+        for _ in range(rng.integers(1, 4)):
+            body.insert(rng.integers(len(body) + 1),
+                        ("# note", "", "#", " ", "\t", " # note",
+                         ",")[rng.integers(7)])
+    elif edit == 3 and rows:  # a short or a long row
+        k = rows[rng.integers(len(rows))]
+        cells = body[k].split(",")
+        body[k] = ",".join(cells[:rng.integers(ncols)] if rng.random() < 0.5
+                           else cells + cells[:rng.integers(1, 3)])
+    elif edit == 4:  # no rows left, or only comments and blank lines
+        body = [line for line in body if rng.random() < 0.5 and (
+            not line or line.startswith("#"))] + ["# note", ""]
+    elif edit == 5 and rows:  # whitespace around cells
+        k = rows[rng.integers(len(rows))]
+        body[k] = ",".join(f" {cell}\t" for cell in body[k].split(","))
+    elif edit == 6 and rows:  # text columns long
+        k = rows[rng.integers(len(rows))]
+        cells = body[k].split(",")
+        for c, (_, typ) in zip(range(len(cells)), SCHEMAS[kind]):
+            if typ is str:
+                cells[c] = "x" * int(rng.integers(20, 300)) + cells[c]
+        body[k] = ",".join(cells)
+    elif edit == 7 and rows:  # an int or a float spelled with '_' or '.0'
+        k = rows[rng.integers(len(rows))]
+        cells = body[k].split(",")
+        c = rng.integers(len(cells))
+        cells[c] = ("1_0", "1.0", "12_345", "-0.0")[rng.integers(4)]
+        body[k] = ",".join(cells)
+    elif edit == 8:  # no final line break, or CRLF line breaks
+        return "\r\n".join(lines[:2] + body) if rng.random() < 0.5 else (
+            "\n".join(lines[:2] + body).rstrip("\n"))
+    return "\n".join(lines[:2] + body)
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_mutated_files_read_as_oracle(tmp_path, kind):
+    rng = np.random.default_rng([7, *map(ord, kind)])
+    path = tmp_path / "mutated.csv"
+    outcomes = set()
+    for trial in range(300):
+        lines = csv_lines(rng, kind, int(rng.integers(0, 12)),
+                          TEXT if trial % 4 == 0 else ASCII_TEXT)
+        text = lines
+        for _ in range(rng.integers(1, 4)):
+            text = mutate(rng, text if isinstance(text, list)
+                          else text.split("\n"), kind)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        outcomes.add(assert_read_as_oracle(str(path))[0])
+    assert outcomes == {"read", "refused"}
+
+
+@pytest.mark.parametrize("cell", ODD_CELLS)
+@pytest.mark.parametrize("column", ["beta", "branch", "interval"])
+def test_odd_cells_read_as_oracle(tmp_path, cell, column):
+    rec = {"beta": 2.9, "branch": "W0+", "interval": 1, "x_param": 0.5,
+           "nu1": 0.2, "nu2": 0.3, "nu3": 0.5, "alpha1": 0.1, "alpha2": 0.2,
+           "alpha3": 0.7, "p": -1.5, "q": 2.5}
+    lines = written(write_csv, "slice_point", [rec] * 3).split("\n")
+    cells = lines[3].split(",")
+    cells[[name for name, _ in SCHEMAS["slice_point"]].index(column)] = cell
+    lines[3] = ",".join(cells)
+    path = tmp_path / "odd.csv"
+    path.write_text("\n".join(lines))
+    assert_read_as_oracle(str(path))
+
+
+def test_files_numpy_parses_are_read_in_one_pass(tmp_path, monkeypatch):
+    """Empty cells, long text cells, comment and blank lines, whitespace
+    around numbers and a body without rows are all read by one call of
+    numpy's C reader, with no line-by-line pass."""
+    def refuse(*args):
+        raise AssertionError("checked line by line")
+    rng = np.random.default_rng(5)
+    maxwell = csv_lines(rng, "maxwell_point", 40)
+    census = csv_lines(rng, "census", 40)
+    census[4] = census[4].replace(",minimum,", ",minimum" + "m" * 500 + ",")
+    census[5] = census[5].replace(",0,", ", 0 ,", 1)
+    census.insert(6, "# note")
+    census.insert(7, "")
+    first, last = list(census), list(census)
+    first[3] = first[3][first[3].index(","):]
+    last[3] = last[3][:last[3].rindex(",") + 1]
+    files = {"maxwell": maxwell, "census": census, "empty first cell": first,
+             "empty last cell": last,
+             "no rows": census[:2] + ["# note: nothing", ""],
+             "empty body": census[:2]}
+    want = {}
+    for name, lines in files.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(lines))
+        want[name] = assert_read_as_oracle(str(path))
+    assert any(rec["m4_nu1"] is None for rec in want["maxwell"][2])
+    assert want["empty first cell"][2][1]["beta"] is None
+    assert want["empty last cell"][2][1]["degenerate_warning"] is None
+    assert len(want["no rows"][2]) == len(want["empty body"][2]) == 0
+    calls = []
+    records = export._records
+    monkeypatch.setattr(export, "_refuse", refuse)
+    monkeypatch.setattr(export, "_records",
+                        lambda *args: calls.append(args) or records(*args))
+    for name in files:
+        calls.clear()
+        assert reading(read_csv, str(tmp_path / f"{name}.csv")) == want[name]
+        assert len(calls) == (0 if "no rows" in name or "body" in name
+                              else 1), name
+
+
+def test_only_python_spellings_read_again(tmp_path, monkeypatch):
+    """A file numpy refuses but Python parses (digits grouped by '_', an
+    integer beyond 64 bits) is checked line by line, then read as text."""
+    calls = []
+    records = export._records
+    monkeypatch.setattr(export, "_records",
+                        lambda *args: calls.append(args[2]) or records(*args))
+    for cell, value in (("1_0", 10), ("99999999999999999999", 10 ** 20 - 1)):
+        path = write_rows(tmp_path, "slice_point", [
+            f"2.9,W0,{cell},0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"])
+        calls.clear()
+        assert read_csv(path)[1][0]["interval"] == value
+        assert calls == [False, True]
 
 
 class TestReadJsonRefusals:

@@ -91,6 +91,26 @@ def render_potential_loop(xs, ys, values, minima=(), n_levels=24, size=640,
     return canvas.render()
 
 
+def render_potential_per_level(xs, ys, values, minima=(), n_levels=24,
+                               size=640, title=""):
+    """``render_potential`` one level at a time: ``contour_segments`` of
+    the level, then ``SvgCanvas.segments``."""
+    finite = values[np.isfinite(values)]
+    lo, hi = float(finite.min()), float(finite.max())
+    span = hi - lo
+    levels = [lo + span * (k + 1) / (n_levels + 1) for k in range(n_levels)]
+    extent = (float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1]))
+    canvas = SvgCanvas(extent, size=size)
+    canvas.frame(title)
+    vals = np.where(np.isfinite(values), values, np.nan)
+    for level in levels:
+        canvas.segments(contour_segments(xs, ys, vals, level),
+                        color="#555", width=0.8)
+    for x, y in minima:
+        canvas.circle(x, y)
+    return canvas.render()
+
+
 def assert_same_segments(xs, ys, values, level):
     segs = contour_segments(xs, ys, values, level)
     expected = np.array(contour_segments_loop(xs, ys, values, level),
@@ -191,6 +211,36 @@ def test_render_potential_random_field_with_holes(rng):
     values[rng.random((30, 25)) < 0.15] = np.inf
     assert (render_potential(xs, ys, values, n_levels=9)
             == render_potential_loop(xs, ys, values, n_levels=9))
+
+
+@pytest.mark.parametrize("nx, ny", SHAPES)
+def test_render_potential_matches_per_level_with_holes(rng, nx, ny):
+    for holes in (0.0, 0.1, 0.4):
+        for hole in (np.nan, np.inf, -np.inf):
+            xs, ys = axes(rng, nx, ny)
+            values = rng.standard_normal((nx, ny)).cumsum(axis=1)
+            values[rng.random((nx, ny)) < holes] = hole
+            values[0, 0] = 0.0  # one finite value at least
+            for n_levels in (1, 5, 24):
+                assert (render_potential(xs, ys, values, n_levels=n_levels)
+                        == render_potential_per_level(xs, ys, values,
+                                                      n_levels=n_levels))
+
+
+@pytest.mark.parametrize("nx, ny", SHAPES)
+def test_render_potential_matches_per_level_on_corner_values(rng, nx, ny):
+    # integer values from 0 to 25: the 24 levels are exactly 1, ..., 24,
+    # so many corners sit on a level
+    for _ in range(4):
+        xs, ys = axes(rng, nx, ny)
+        values = rng.integers(0, 26, size=(nx, ny)).astype(float)
+        values[0, 0], values[-1, -1] = 0.0, 25.0
+        values[rng.random((nx, ny)) < 0.1] = np.nan
+        values[0, 0] = 0.0
+        doc = render_potential(xs, ys, values, minima=[(0.0, 0.0)],
+                               title="t")
+        assert doc == render_potential_per_level(
+            xs, ys, values, minima=[(0.0, 0.0)], title="t")
 
 
 def walks(rng):
