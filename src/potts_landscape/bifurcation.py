@@ -27,6 +27,8 @@ from .model import (Permutation, PERMUTATIONS, _interior_lattice,
                     batch_catastrophe, batch_degeneracy_lhs, batch_pq)
 
 BETA_BEAK = 8.0 / 3.0
+# Surface sheet values above this, next to the corners, are skipped.
+_BETA_CAP = 1e8
 
 
 @dataclass(frozen=True)
@@ -255,11 +257,11 @@ def fold_lines_pq(curves) -> list:
     return np.split(pq, np.cumsum([len(line) for line in lines[:-1]]))
 
 
-def surface_patches(grid_density: int = 64, beta_cap: float = 1e8):
+def surface_patches(grid_density: int = 64):
     """Evaluate both surface sheets on a barycentric grid of the simplex.
 
     Returns (plus, minus) SurfacePatch.  Grid points whose sheet value
-    exceeds ``beta_cap`` (possible arbitrarily close to the corners) are
+    exceeds ``_BETA_CAP`` (possible arbitrarily close to the corners) are
     skipped and counted.
     """
     if grid_density < 16:
@@ -278,7 +280,7 @@ def surface_patches(grid_density: int = 64, beta_cap: float = 1e8):
     patches = []
     for sign in (+1, -1):
         beta = s1 / 3.0 + sign * root
-        ok = np.isfinite(beta) & (beta > 0.0) & (beta <= beta_cap)
+        ok = np.isfinite(beta) & (beta > 0.0) & (beta <= _BETA_CAP)
         alpha = batch_catastrophe(beta[ok], nu[ok])
         patches.append(SurfacePatch(sign=sign, nu=nu[ok], beta=beta[ok],
                                     alpha=alpha, skipped=int((~ok).sum())))

@@ -24,9 +24,9 @@ from .maxwell import (BETA_ELLIS_WANG, beyond_ellis_wang_segment,
                       coexistence_curve, symmetric_segment,
                       track_segment_pair)
 from .model import (DEFAULT_TOL, AprioriMeasure, CoordPQ, ModelParams,
-                    _check_beta, _interior_lattice, batch_free_energy,
-                    batch_from_xy, batch_pq, batch_uv, batch_xy, from_pq,
-                    from_uv)
+                    ToleranceConfig, _check_beta, _interior_lattice,
+                    batch_free_energy, batch_from_xy, batch_pq, batch_uv,
+                    batch_xy, from_pq, from_uv)
 from .stationary import MinimaCensus, PointKind, _census_batch, census
 
 SQRT3 = math.sqrt(3.0)
@@ -90,9 +90,7 @@ def _write_records(args, kind, records, note=None):
 
 
 def _tolerances(args):
-    if getattr(args, "tol", None) is None:
-        return DEFAULT_TOL
-    return dataclasses.replace(DEFAULT_TOL, residual=args.tol)
+    return DEFAULT_TOL if args.tol is None else ToleranceConfig(args.tol)
 
 
 def _floats(flag, text, n):

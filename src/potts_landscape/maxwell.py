@@ -31,26 +31,29 @@ next axis (Ellis & Wang 1990).
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .critical import BETA_BUTTERFLY, BETA_ELLIS_WANG
 from .errors import DomainError, NumericalError
-from .model import (DEFAULT_TOL, AprioriMeasure, ModelParams,
-                    SpinDistribution, ToleranceConfig, _check_beta,
-                    _shifted_terms, _stationary_value, batch_catastrophe,
-                    batch_free_energy, batch_from_xy, batch_stationary_value,
-                    batch_xy, hessian_eigenvalues)
+from .model import (CLAMP_MARGIN, COEXISTENCE_DEPTH, DEFAULT_TOL,
+                    DEGENERATE_EIG, INTERIOR_MARGIN, AprioriMeasure,
+                    ModelParams, SpinDistribution, ToleranceConfig,
+                    _check_beta, _shifted_terms, _stationary_value,
+                    batch_catastrophe, batch_free_energy, batch_from_xy,
+                    batch_stationary_value, batch_xy, hessian_eigenvalues)
 from .rootfind import _bracketed_halley, bracketed_root
 from .stationary import MinimaCensus, _branch_values, census
 
 _SWAP12 = (1, 0, 2)
 _EYE2, _EYE3 = np.eye(2), np.eye(3)
 _THIRD = (3 - np.add.outer(range(3), range(3))) % 3  # the index not i or k
+_SAMPLE_INSET = 0.02  # share of the segment left out at each sampled end
+_CUSP_MAX_ITER = 50  # Newton steps of ``_cusp_point``
+_CURVE_MAX_STEPS = 5000  # points of ``coexistence_curve``
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,7 +85,7 @@ class AxisSegment:
     y_lo: float
     y_hi: float
     # the triple point that ends it, where one was solved with it
-    triple: CoexistencePoint = field(default=None, init=False, compare=False)
+    triple: CoexistencePoint = field(default=None, compare=False)
 
     @property
     def is_empty(self) -> bool:
@@ -91,10 +94,10 @@ class AxisSegment:
     def alpha_at(self, y: float) -> AprioriMeasure:
         return _axis_field(y)
 
-    def sample_ys(self, n: int, inset: float = 0.02) -> np.ndarray:
+    def sample_ys(self, n: int) -> np.ndarray:
         span = self.y_hi - self.y_lo
-        return np.linspace(self.y_lo + inset * span,
-                           self.y_hi - inset * span, n)
+        return np.linspace(self.y_lo + _SAMPLE_INSET * span,
+                           self.y_hi - _SAMPLE_INSET * span, n)
 
 
 @dataclass(frozen=True)
@@ -134,11 +137,8 @@ def symmetric_segment(beta: float, tol: ToleranceConfig = DEFAULT_TOL) -> AxisSe
 
 
 def _segment_to_triple(tp: CoexistencePoint) -> AxisSegment:
-    """The symmetric segment ending at an already solved triple point,
-    which it carries."""
-    segment = AxisSegment(tp.beta, -0.5, float(batch_xy(tp.alpha.array)[1]))
-    object.__setattr__(segment, "triple", tp)  # frozen, and not an argument
-    return segment
+    """The symmetric segment ending at, and carrying, a solved triple point."""
+    return AxisSegment(tp.beta, -0.5, float(batch_xy(tp.alpha.array)[1]), tp)
 
 
 def _axis_field(y: float) -> AprioriMeasure:
@@ -295,7 +295,7 @@ def _global_triple(beta: float, mu: np.ndarray, nu: np.ndarray,
     alpha = AprioriMeasure.from_array(batch_catastrophe(beta, mu))
     found = census(ModelParams(beta, alpha), tol=tol).global_minimizers
     values = batch_free_energy(beta, alpha.array, minimizers)
-    if (len(found) != 3 or values.max() - values.min() > tol.coexistence_depth
+    if (len(found) != 3 or values.max() - values.min() > COEXISTENCE_DEPTH
             or np.abs([p.nu.array for p in found] - minimizers).max() > 1e-6):
         raise NumericalError(f"the equal-depth point on the axis is no "
                              f"triple point of its census at beta = {beta}")
@@ -407,12 +407,12 @@ def _cusp_conditions(beta: float, nu: np.ndarray):
     return np.array([w.sum(), cubic]), grad[:, :2] - grad[:, 2:]
 
 
-def _cusp_point(beta: float, seed: np.ndarray, max_iter: int = 50):
+def _cusp_point(beta: float, seed: np.ndarray):
     """The A3 point next to ``seed`` at this temperature: Newton on
     ``_cusp_conditions`` in local coordinates while it still lowers them."""
     nu = np.array(seed, dtype=float)
     res, jac = _cusp_conditions(beta, nu)
-    for _ in range(max_iter):
+    for _ in range(_CUSP_MAX_ITER):
         try:
             d = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
@@ -432,8 +432,7 @@ def _cusp_point(beta: float, seed: np.ndarray, max_iter: int = 50):
 
 def coexistence_curve(beta: float, step: float = 0.005,
                       tol: ToleranceConfig = DEFAULT_TOL,
-                      origin: CoexistencePoint = None,
-                      max_steps: int = 5000) -> CoexistenceCurve:
+                      origin: CoexistencePoint = None) -> CoexistenceCurve:
     """Continue the equal-depth locus of the two same-cell minima away from
     the triple point, seeding every solve with the previous solution.
 
@@ -451,7 +450,7 @@ def coexistence_curve(beta: float, step: float = 0.005,
 
     - 'fold': the pair merges into a cusp of the bifurcation set.  Once a
       tracked minimizer's smallest Hessian eigenvalue is down to
-      ``tol.degenerate_eig`` with the pair within 1e-3 of each other, the
+      ``DEGENERATE_EIG`` with the pair within 1e-3 of each other, the
       residual no longer pins the positions to within their gap, so the
       curve stops there and its last point is the exact A3 cusp point
       (``_cusp_point``) with both minimizer slots set to it;
@@ -480,7 +479,7 @@ def coexistence_curve(beta: float, step: float = 0.005,
         'fold' if a minimizer degenerates there, or None on failure."""
         pivot = int(np.argmax(np.abs(tangent)))
         new = _solve_pair(beta, ev.w + h * tangent, pivot)
-        if new is None or new.pair.min() <= tol.clamp_margin:
+        if new is None or new.pair.min() <= CLAMP_MARGIN:
             return None
         if np.abs(new.w - ev.w).max() > 0.1 + 10.0 * h:
             return None
@@ -491,7 +490,7 @@ def coexistence_curve(beta: float, step: float = 0.005,
         # bifurcation set; eigenvalues also vanish when the pair merges
         # into a cusp
         if (hessian_eigenvalues(beta, new.pair)[:, 0].min()
-                <= tol.degenerate_eig):
+                <= DEGENERATE_EIG):
             return "boundary" if gap_new > 1e-3 else "fold"
         return new
 
@@ -511,7 +510,7 @@ def coexistence_curve(beta: float, step: float = 0.005,
 
     status = "max-steps"
     h, h_failed = h_open, None
-    while len(points) < max_steps:
+    while len(points) < _CURVE_MAX_STEPS:
         gap = _pair_gap(ev.pair)
         if gap < 1e-6:
             status = "fold"
@@ -568,7 +567,7 @@ def beyond_ellis_wang_segment(beta: float,
     if beta < BETA_ELLIS_WANG - 1e-12:
         raise DomainError(
             f"segment requires beta >= 4 log 2, got {beta}")
-    depth_tol = dataclasses.replace(tol, depth=tol.coexistence_depth)
+    depth_tol = replace(tol, depth=COEXISTENCE_DEPTH)
     cens = census(ModelParams(beta, AprioriMeasure.uniform()), tol=depth_tol)
     return BeyondEllisWangSegment(segment=AxisSegment(beta, -0.5, 0.0),
                                   uniform_census=cens)
@@ -624,10 +623,10 @@ def track_segment_pair(segment: AxisSegment, n: int = 40,
                                   1)[0]
     members = np.stack([nu1, s, nu3], axis=-1)
     smallest = float(members.min())
-    if smallest < tol.interior_margin:
+    if smallest < INTERIOR_MARGIN:
         raise NumericalError(f"the segment's pair members leave the "
                              f"representable interior: smallest component "
-                             f"{smallest!r} < {tol.interior_margin!r}, "
+                             f"{smallest!r} < {INTERIOR_MARGIN!r}, "
                              f"beta = {beta}")
 
     k = n // 2

@@ -28,46 +28,41 @@ from .errors import DomainError
 
 SQRT3 = math.sqrt(3.0)
 
+# Thresholds fixed by double precision and the open simplex, not choices:
+DEGENERATE_EIG = 1e-7     # |Hessian eigenvalue| of a degenerate point
+MERGE_RADIUS = 1e-7       # plane distance within which two roots are one
+COEXISTENCE_DEPTH = 1e-8  # depth equality of the coexistence constructs
+INTERIOR_MARGIN = 1e-12   # smallest component a simplex point may have
+CLAMP_MARGIN = 1e-9       # margin to which damped Newton clamps its iterates
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical tolerances used throughout the package.
+    """The two tolerances a caller sets.
 
-    residual         -- gradient norm below which a point counts as stationary
-    degenerate_eig   -- |eigenvalue| below which a stationary point is
-                        classified as degenerate
-    merge_radius     -- Euclidean radius in plane coordinates within which
-                        two converged roots are considered the same point
-    depth            -- free-energy difference within which local minima
-                        count as equally deep global minimizers
-    coexistence_depth-- depth-equality tolerance for coexistence constructs
-    interior_margin  -- components below this are rejected by constructors
-    clamp_margin     -- analysis routines clamp iterates to this margin
+    residual -- gradient norm below which a point counts as stationary
+    depth    -- free-energy difference within which local minima count as
+                equally deep global minimizers
     """
 
     residual: float = 1e-10
-    degenerate_eig: float = 1e-7
-    merge_radius: float = 1e-7
     depth: float = 1e-9
-    coexistence_depth: float = 1e-8
-    interior_margin: float = 1e-12
-    clamp_margin: float = 1e-9
 
 
 DEFAULT_TOL = ToleranceConfig()
 
 
-def _validate_simplex(kind: str, c1: float, c2: float, c3: float,
-                      margin: float = DEFAULT_TOL.interior_margin) -> None:
+def _validate_simplex(kind: str, c1: float, c2: float, c3: float) -> None:
     if not (math.isfinite(c1) and math.isfinite(c2) and math.isfinite(c3)):
         raise DomainError(f"{kind} components must be finite, got "
                           f"({c1}, {c2}, {c3})")
     if abs((c1 + c2 + c3) - 1.0) > 1e-12:
         raise DomainError(f"{kind} components must sum to 1 within 1e-12, "
                           f"got sum {c1 + c2 + c3!r}")
-    if min(c1, c2, c3) < margin:
+    if min(c1, c2, c3) < INTERIOR_MARGIN:
         raise DomainError(f"{kind} must lie in the open simplex interior "
-                          f"(components >= {margin}), got ({c1}, {c2}, {c3})")
+                          f"(components >= {INTERIOR_MARGIN}), got "
+                          f"({c1}, {c2}, {c3})")
 
 
 @dataclass(frozen=True, slots=True)

@@ -38,11 +38,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .model import (DEFAULT_TOL, ModelParams, SpinDistribution,
-                    ToleranceConfig, _interior_lattice, batch_free_energy,
-                    batch_gradient, batch_hessian, batch_xy,
-                    hessian_eigenvalues)
+from .model import (CLAMP_MARGIN, DEFAULT_TOL, DEGENERATE_EIG,
+                    INTERIOR_MARGIN, MERGE_RADIUS, ModelParams,
+                    SpinDistribution, ToleranceConfig, _interior_lattice,
+                    batch_free_energy, batch_gradient, batch_hessian,
+                    batch_xy, hessian_eigenvalues)
 from .rootfind import _bracketed_halley
+
+_CORNER_MARGIN = 1e-3  # offset of the corner and edge seeds of the grid
+_NEWTON_MAX_ITER = 200  # damped Newton's iterations
+_NEWTON_MAX_HALVINGS = 40  # and its step halvings in each
 
 
 class PointKind(enum.Enum):
@@ -74,12 +79,12 @@ class MinimaCensus:
         return tuple(p for p in self.points if p.kind is PointKind.MINIMUM)
 
 
-def barycentric_grid(density: int, corner_margin: float = 1e-3) -> np.ndarray:
+def barycentric_grid(density: int) -> np.ndarray:
     """Interior nodes of the barycentric lattice of the given density,
     augmented with near-corner, near-edge-midpoint and centroid seeds."""
     pts = _interior_lattice(density) / float(density)
 
-    m = corner_margin
+    m = _CORNER_MARGIN
     extras = [(1 - 2 * m, m, m), (m, 1 - 2 * m, m), (m, m, 1 - 2 * m),
               (0.5 - m / 2, 0.5 - m / 2, m), (0.5 - m / 2, m, 0.5 - m / 2),
               (m, 0.5 - m / 2, 0.5 - m / 2),
@@ -87,13 +92,13 @@ def barycentric_grid(density: int, corner_margin: float = 1e-3) -> np.ndarray:
     return np.vstack([pts, np.asarray(extras)])
 
 
-def _clamp_interior(nu: np.ndarray, margin: float) -> np.ndarray:
-    """Project rows of (n, 3) back into the simplex with the given margin."""
-    out = np.maximum(nu, margin)
+def _clamp_interior(nu: np.ndarray) -> np.ndarray:
+    """Project rows of (n, 3) back into the simplex with ``CLAMP_MARGIN``."""
+    out = np.maximum(nu, CLAMP_MARGIN)
     s12 = out[:, 0] + out[:, 1]
-    over = s12 > 1.0 - margin
+    over = s12 > 1.0 - CLAMP_MARGIN
     if np.any(over):
-        scale = (1.0 - margin) / s12[over]
+        scale = (1.0 - CLAMP_MARGIN) / s12[over]
         out[over, 0] *= scale
         out[over, 1] *= scale
     out[:, 2] = 1.0 - out[:, 0] - out[:, 1]
@@ -114,22 +119,21 @@ def _newton_step(beta: float, nu: np.ndarray, g: np.ndarray):
 
 
 def newton_stationary(beta: float, alpha: np.ndarray, seeds: np.ndarray,
-                      tol: ToleranceConfig = DEFAULT_TOL,
-                      max_iter: int = 200, max_halvings: int = 40) -> np.ndarray:
+                      tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Damped Newton on the local gradient from each seed row.
 
     Backtracks by step halving until the gradient norm decreases; seeds that
-    cannot decrease within ``max_halvings`` or do not converge within
-    ``max_iter`` are dropped.  Returns the converged points, shape (m, 3).
+    cannot decrease within ``_NEWTON_MAX_HALVINGS`` or do not converge in
+    ``_NEWTON_MAX_ITER`` steps are dropped.  Returns them, shape (m, 3).
     """
-    nu = _clamp_interior(np.array(seeds, dtype=float), tol.clamp_margin)
+    nu = _clamp_interior(np.array(seeds, dtype=float))
     active = np.ones(len(nu), dtype=bool)
     done = np.zeros(len(nu), dtype=bool)
 
     g = batch_gradient(beta, alpha, nu)
     gnorm = np.linalg.norm(g, axis=-1)
 
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         conv = active & (gnorm <= tol.residual)
         done |= conv
         active &= ~conv
@@ -149,7 +153,7 @@ def newton_stationary(beta: float, alpha: np.ndarray, seeds: np.ndarray,
         improved = np.zeros(len(idx), dtype=bool)
         trial = n_a.copy()
         trial_gn = gnorm[idx].copy()
-        for _ in range(max_halvings):
+        for _ in range(_NEWTON_MAX_HALVINGS):
             todo = ~improved
             if not np.any(todo):
                 break
@@ -157,7 +161,7 @@ def newton_stationary(beta: float, alpha: np.ndarray, seeds: np.ndarray,
             cand[:, 0] += lam[todo] * d1[todo]
             cand[:, 1] += lam[todo] * d2[todo]
             cand[:, 2] = 1.0 - cand[:, 0] - cand[:, 1]
-            cand = _clamp_interior(cand, tol.clamp_margin)
+            cand = _clamp_interior(cand)
             gn_new = np.linalg.norm(batch_gradient(beta, alpha, cand), axis=-1)
             better = gn_new < gnorm[idx][todo]
             sub = np.flatnonzero(todo)
@@ -196,27 +200,27 @@ def _dedupe_xy(points: np.ndarray, owner: np.ndarray,
     return np.array(keep, dtype=int)
 
 
-def _kind(lo: float, hi: float, tol: ToleranceConfig) -> PointKind:
-    if min(abs(lo), abs(hi)) <= tol.degenerate_eig:
+def _kind(lo: float, hi: float) -> PointKind:
+    if min(abs(lo), abs(hi)) <= DEGENERATE_EIG:
         return PointKind.DEGENERATE
     if lo > 0.0:
         return PointKind.MINIMUM
     return PointKind.MAXIMUM if hi < 0.0 else PointKind.SADDLE
 
 
-def classify(beta: float, nu, tol: ToleranceConfig = DEFAULT_TOL):
+def classify(beta: float, nu):
     """(eig_lo, eig_hi, PointKind) for one simplex point."""
     lo, hi = map(float, hessian_eigenvalues(beta, np.asarray(nu, dtype=float)))
-    return lo, hi, _kind(lo, hi, tol)
+    return lo, hi, _kind(lo, hi)
 
 
 def _classified(beta: float, alpha: np.ndarray, roots: np.ndarray,
-                owner: np.ndarray, m: int, tol: ToleranceConfig) -> list:
+                owner: np.ndarray, m: int) -> list:
     """For each field 0..m-1, the converged ``roots`` it owns (``owner``;
     ``alpha`` one field per row) deduplicated and classified,
     ordered lexicographically in plane coordinates, or a ``NumericalError``
     where it owns none."""
-    keep = _dedupe_xy(roots, owner, tol.merge_radius)
+    keep = _dedupe_xy(roots, owner, MERGE_RADIUS)
     roots = roots[keep]
     # with no roots every field is refused below; the Hessian is skipped,
     # as its 2 beta overflows near the float maximum, where none converges
@@ -226,7 +230,7 @@ def _classified(beta: float, alpha: np.ndarray, roots: np.ndarray,
     for i, row, (lo, hi), value in zip(owner[keep].tolist(), roots, eigs,
                                        values):
         points[i].append(StationaryPoint(SpinDistribution.from_array(row),
-                                         (lo, hi), _kind(lo, hi, tol), value))
+                                         (lo, hi), _kind(lo, hi), value))
     return [found or NumericalError(
         "no stationary point converged; a smooth landscape with boundary "
         "divergence has at least one minimum") for found in points]
@@ -239,8 +243,8 @@ def stationary_points_from_seeds(beta: float, alpha: np.ndarray,
     arbitrary seed array, ordered lexicographically in plane coordinates."""
     roots = newton_stationary(beta, alpha, seeds, tol)
     return _checked(_classified(beta, np.broadcast_to(alpha, roots.shape),
-                                roots, np.zeros(len(roots), dtype=int), 1,
-                                tol)[0])
+                                roots, np.zeros(len(roots), dtype=int),
+                                1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +371,7 @@ def _scan(beta: float, log_r, t, orders: int = 4):
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _reduced_roots(beta: float, alphas: np.ndarray,
-                   tol: ToleranceConfig):
+def _reduced_roots(beta: float, alphas: np.ndarray):
     """Stationary points of the fields ``alphas`` (m, 3) at one beta, as
     roots of the one-variable reduction: (nu, owner, errors), with nu the
     points (r, 3), owner the field of each, and errors the
@@ -379,7 +382,7 @@ def _reduced_roots(beta: float, alphas: np.ndarray,
     denser grid.  Roots come from sign changes of F between samples, from
     exact zeros at samples and from tangential extrema; a root on a branch
     point, where a tie in alpha makes two branches meet, shows up in
-    several pairs.  A root with a component below ``tol.interior_margin``
+    several pairs.  A root with a component below ``INTERIOR_MARGIN``
     cannot be represented as a ``SpinDistribution``; rather than drop it,
     the census of its field fails with a ``NumericalError``.
 
@@ -453,7 +456,7 @@ def _reduced_roots(beta: float, alphas: np.ndarray,
     nu[at, k[owner]] = t_all
     nu[at[:, None], others[owner]] = x
     nu /= nu.sum(axis=1, keepdims=True)
-    lost = nu.min(axis=1) < tol.interior_margin
+    lost = nu.min(axis=1) < INTERIOR_MARGIN
     errors = [None] * m
     if np.any(lost):
         failed = np.zeros(m, dtype=bool)
@@ -463,7 +466,7 @@ def _reduced_roots(beta: float, alphas: np.ndarray,
             errors[i] = NumericalError(
                 f"{len(out)} stationary point(s) lie outside the "
                 f"representable interior: smallest component "
-                f"{float(out.min())!r} < {tol.interior_margin!r}")
+                f"{float(out.min())!r} < {INTERIOR_MARGIN!r}")
         keep = ~failed[owner]
         nu, owner = nu[keep], owner[keep]
     return nu, owner, errors
@@ -531,10 +534,16 @@ def _census_batch(params: list, tol: ToleranceConfig) -> list:
         return []
     beta = params[0].beta
     alphas = np.array([(p.alpha.a1, p.alpha.a2, p.alpha.a3) for p in params])
-    nu, owner, errors = _reduced_roots(beta, alphas, tol)
+    nu, owner, errors = _reduced_roots(beta, alphas)
     nu, ok = _polish(beta, alphas[owner], nu, tol)
+    # a root left above the residual fails its field, which would lose it
+    for i, k in enumerate(np.bincount(owner[~ok], minlength=len(params))):
+        if k:
+            errors[i] = NumericalError(
+                f"{k} stationary point(s) keep a gradient norm above the "
+                f"residual tolerance {tol.residual!r}")
     points = _classified(beta, alphas[owner[ok]], nu[ok], owner[ok],
-                         len(params), tol)
+                         len(params))
     return [error or (pts if isinstance(pts, NumericalError)
                       else _census_of(p, pts, tol))
             for p, error, pts in zip(params, errors, points)]

@@ -112,8 +112,9 @@ _CORNER_DI = np.array([0, 1, 1, 0])
 _CORNER_DJ = np.array([0, 0, 1, 1])
 
 
-def _contours(xs, ys, values, levels):
-    """Marching-squares segments (n, 2, 2) of each level in turn.
+def contour_segments(xs, ys, values, levels):
+    """Marching-squares segments (n, 2, 2) of one iso-level, or of each of
+    a sequence of levels in turn.
 
     values has shape (len(xs), len(ys)); the corners of the cells without
     a NaN corner are stacked once for all levels.  An edge is crossed where
@@ -121,8 +122,8 @@ def _contours(xs, ys, values, levels):
     cell's crossings are taken in edge order and paired first with second,
     third with fourth (the saddle case), cells in raster order.
     """
-    v, xs, ys, levels = (np.asarray(a, dtype=float)
-                         for a in (values, xs, ys, levels))
+    v, xs, ys = (np.asarray(a, dtype=float) for a in (values, xs, ys))
+    levels = np.asarray(levels, dtype=float).reshape(-1)
     corners = np.stack([v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]],
                        axis=-1)
     i, j = np.nonzero(~np.isnan(corners).any(axis=-1))
@@ -137,11 +138,6 @@ def _contours(xs, ys, values, levels):
     pts = np.stack([xs[ia] + t * (xs[ib] - xs[ia]),
                     ys[ja] + t * (ys[jb] - ys[ja])], axis=-1)
     return pts.reshape(-1, 2, 2)
-
-
-def contour_segments(xs, ys, values, level):
-    """Marching-squares line segments of one iso-level, (n, 2, 2)."""
-    return _contours(xs, ys, values, [level])
 
 
 def render_curves(extent, bifurcation=(), maxwell=(), labels=(), markers=(),
@@ -173,7 +169,8 @@ def render_potential(xs, ys, values, minima=(), n_levels=24, size=640,
     canvas = SvgCanvas(extent, size=size)
     canvas.frame(title)
     vals = np.where(np.isfinite(values), values, np.nan)
-    canvas.segments(_contours(xs, ys, vals, levels), color="#555", width=0.8)
+    canvas.segments(contour_segments(xs, ys, vals, levels), color="#555",
+                    width=0.8)
     for x, y in minima:
         canvas.circle(x, y)
     return canvas.render()

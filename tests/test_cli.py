@@ -440,6 +440,32 @@ class TestCensusCommand:
         assert_domain_error(capsys, ["census", "--beta", "2.0",
                                      "--alpha", "a,b,c"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--beta", "2.6", "--alpha", "0.345,0.345,0.31"], ["--beta", "3.5"]])
+    def test_loose_tol_keeps_the_records(self, tmp_path, argv):
+        # the census roots meet a residual far below 1e-3 before any polish
+        default, loose = tmp_path / "default.csv", tmp_path / "loose.csv"
+        assert run(["census", *argv, "--out", str(default)]) == 0
+        assert run(["census", *argv, "--tol", "1e-3",
+                    "--out", str(loose)]) == 0
+        assert read_csv(str(loose)) == read_csv(str(default))
+        assert loose.read_text() == default.read_text()
+
+    @pytest.mark.parametrize("argv", [
+        # every root, or 4 of the 5 (once dropped: 1 record, exit 0)
+        ["--beta", "2.6", "--alpha", "0.345,0.345,0.31"],
+        ["--beta", "3.5", "--alpha", "0.3,0.33,0.37"]])
+    def test_tol_below_the_polish_fails_with_one_line(self, capsys, argv):
+        assert run(["census", *argv, "--tol", "1e-16"]) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_tol_must_be_finite_and_positive(self, capsys, tol):
+        assert_domain_error(capsys, ["census", "--beta", "2.6", "--tol", tol])
+
     def test_numerical_failure_exit_code(self, monkeypatch):
         import potts_landscape.cli as cli
 

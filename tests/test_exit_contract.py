@@ -5,8 +5,8 @@ or a ``# note:`` line, a non-empty SVG) and nothing on stderr, or exit 2
 (domain error) or 3 (numerical failure) with exactly one line on stderr.  No argv emits a
 warning.  The argv are drawn from a fixed seed across all six subcommands:
 inverse temperatures from 1e-3 to 1e4 and special values, edge and tie
-fields, window extents from 1e-300 to 1e308, and small grids, sample
-counts and resolutions.
+fields, window extents from 1e-300 to 1e308, residual tolerances from
+1e-18 to 1e-1, and small grids, sample counts and resolutions.
 """
 
 import math
@@ -43,6 +43,12 @@ def _positive(rng, lo, hi):
     return _num(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
 
 
+def _tol(rng):
+    """No --tol, or a residual tolerance log-uniform in [1e-18, 1e-1], now
+    and then a special value."""
+    return ["--tol", _positive(rng, 1e-18, 1e-1)] if rng.random() < 0.5 else []
+
+
 def _field(rng):
     """No field, or an --alpha or --uv flag: random, tied, next to an edge,
     far out in log-ratio coordinates, or malformed."""
@@ -76,6 +82,7 @@ def _slice(rng):
             "--extent", _positive(rng, 1e-300, 1e308)]
     if rng.random() < (0.7 if fmt == "svg" else 0.1):
         argv += ["--label-cells", "--resolution", str(rng.integers(16, 65))]
+        argv += _tol(rng)
     return argv
 
 
@@ -86,7 +93,7 @@ def _surface(rng):
 
 
 def _census(rng):
-    return ["census", "--beta", _beta(rng)] + _field(rng)
+    return ["census", "--beta", _beta(rng)] + _field(rng) + _tol(rng)
 
 
 def _critical(rng):
@@ -98,13 +105,14 @@ def _maxwell(rng):
             "--step", _positive(rng, 2e-3, 1.0),
             "--segment-samples", str(rng.integers(1, 21)),
             "--extent", _positive(rng, 1e-300, 1e308),
-            "--format", str(rng.choice(["csv", "svg"]))]
+            "--format", str(rng.choice(["csv", "svg"]))] + _tol(rng)
 
 
 def _potential(rng):
     return (["potential", "--beta", _beta(rng), "--grid",
              str(rng.integers(16, 41)),
-             "--format", str(rng.choice(["csv", "svg"]))] + _field(rng))
+             "--format", str(rng.choice(["csv", "svg"]))] + _field(rng)
+            + _tol(rng))
 
 
 # argv per subcommand; critical takes no values
