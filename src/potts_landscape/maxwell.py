@@ -54,6 +54,9 @@ _THIRD = (3 - np.add.outer(range(3), range(3))) % 3  # the index not i or k
 _SAMPLE_INSET = 0.02  # share of the segment left out at each sampled end
 _CUSP_MAX_ITER = 50  # Newton steps of ``_cusp_point``
 _CURVE_MAX_STEPS = 5000  # points of ``coexistence_curve``
+# pair gap below which ``coexistence_curve`` closes on the cusp: nearer to
+# it the residual no longer pins the positions to within their gap
+_FOLD_GAP = 1e-2
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,7 +76,7 @@ class CoexistenceCurve:
     beta: float
     points: tuple          # CoexistencePoint, each with the tracked (mu, nu)
     origin: CoexistencePoint
-    status: str  # 'fold' | 'triple' | 'boundary' | 'stalled' | 'max-steps'
+    status: str  # 'fold' | 'triple' | 'stalled' | 'max-steps'
 
 
 @dataclass(frozen=True)
@@ -409,22 +412,20 @@ def _cusp_conditions(beta: float, nu: np.ndarray):
 
 def _cusp_point(beta: float, seed: np.ndarray):
     """The A3 point next to ``seed`` at this temperature: Newton on
-    ``_cusp_conditions`` in local coordinates while it still lowers them."""
+    ``_cusp_conditions`` in local coordinates until a step moves it by at
+    most 1e-14."""
     nu = np.array(seed, dtype=float)
-    res, jac = _cusp_conditions(beta, nu)
     for _ in range(_CUSP_MAX_ITER):
+        res, jac = _cusp_conditions(beta, nu)
         try:
             d = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
             break
-        cand = nu + np.array([d[0], d[1], -d[0] - d[1]])
-        if cand.min() <= 0.0:
+        nu = nu + np.array([d[0], d[1], -d[0] - d[1]])
+        if nu.min() <= 0.0 or np.abs(d).max() <= 1e-14:
             break
-        res_c, jac_c = _cusp_conditions(beta, cand)
-        if not np.abs(res_c).max() < np.abs(res).max():
-            break
-        nu, res, jac = cand, res_c, jac_c
-    if not np.abs(res).max() <= 1e-10:
+    if not (nu.min() > 0.0
+            and np.abs(_cusp_conditions(beta, nu)[0]).max() <= 1e-10):
         raise NumericalError(
             f"no cusp point found next to {seed} at beta = {beta}")
     return nu
@@ -446,18 +447,18 @@ def coexistence_curve(beta: float, step: float = 0.005,
     -(nu1 - nu2) log(a1/a2), so only there is the tracked pair, nu with
     x > 0, global.  The opening steps are shorter than ``step`` where the
     triple point's geometry asks for it (see ``h_open``); later steps
-    double back up to ``step``.  Termination:
+    double back up to ``step``.  A trial fails, and the step halves,
+    where the corrector does not converge, jumps, hops onto mu == nu or
+    lands on a degenerate minimizer.  Termination:
 
-    - 'fold': the pair merges into a cusp of the bifurcation set.  Once a
-      tracked minimizer's smallest Hessian eigenvalue is down to
-      ``DEGENERATE_EIG`` with the pair within 1e-3 of each other, the
-      residual no longer pins the positions to within their gap, so the
-      curve stops there and its last point is the exact A3 cusp point
-      (``_cusp_point``) with both minimizer slots set to it;
+    - 'fold': the pair merges into a cusp of the bifurcation set.  A step
+      that starts with the pair within ``_FOLD_GAP`` of each other ends the
+      curve, and its last point is the exact A3 cusp point
+      (``_cusp_point`` from the pair's midpoint) with both minimizer
+      slots set to it;
     - 'triple': from (a, a, c), c < a, a step reaches a1 <= a3; its last
       point is the mirrored triple point (a, c, a), with the two of its
       minimizers nearest to the tracked pair;
-    - 'boundary': one minimizer of a well separated pair loses minimality;
     - 'stalled': a persistent corrector failure after step halving.
     """
     beta = float(beta)
@@ -475,23 +476,16 @@ def coexistence_curve(beta: float, step: float = 0.005,
 
     def attempt(ev, tangent, h):
         """One predictor-corrector step of length h from the evaluation
-        ``ev``; returns the evaluation at the new state, 'boundary' or
-        'fold' if a minimizer degenerates there, or None on failure."""
+        ``ev``; returns the evaluation at the new state, or None on
+        failure."""
         pivot = int(np.argmax(np.abs(tangent)))
         new = _solve_pair(beta, ev.w + h * tangent, pivot)
-        if new is None or new.pair.min() <= CLAMP_MARGIN:
-            return None
-        if np.abs(new.w - ev.w).max() > 0.1 + 10.0 * h:
-            return None
-        gap_new = _pair_gap(new.pair)
-        if gap_new < 0.25 * _pair_gap(ev.pair):  # hopped onto mu == nu
-            return None
-        # a minimizer annihilating against a saddle ends the curve on the
-        # bifurcation set; eigenvalues also vanish when the pair merges
-        # into a cusp
-        if (hessian_eigenvalues(beta, new.pair)[:, 0].min()
+        if (new is None or new.pair.min() <= CLAMP_MARGIN
+                or np.abs(new.w - ev.w).max() > 0.1 + 10.0 * h
+                or _pair_gap(new.pair) < 0.25 * _pair_gap(ev.pair)
+                or hessian_eigenvalues(beta, new.pair)[:, 0].min()
                 <= DEGENERATE_EIG):
-            return "boundary" if gap_new > 1e-3 else "fold"
+            return None
         return new
 
     # the side where the field's x-coordinate, so chi1 - chi2, grows: the
@@ -509,23 +503,16 @@ def coexistence_curve(beta: float, step: float = 0.005,
             depth))
 
     status = "max-steps"
-    h, h_failed = h_open, None
+    h = h_open
     while len(points) < _CURVE_MAX_STEPS:
-        gap = _pair_gap(ev.pair)
-        if gap < 1e-6:
+        if _pair_gap(ev.pair) < _FOLD_GAP:
             status = "fold"
             break
-        h_eff = min(h, max(gap / 3.0, 1e-7)) if gap < 1e-2 else h
-        # a retry with the step that has just failed would fail again
-        got = None if h_eff == h_failed else attempt(ev, tangent, h_eff)
-        if isinstance(got, str):
-            status = got
-            break
+        got = attempt(ev, tangent, h)
         if got is None:
-            h_failed = h_eff
             h *= 0.5
             if h < 1e-6:
-                status = "stalled" if gap > 1e-3 else "fold"
+                status = "stalled"
                 break
             continue
         if got.chi[1, 0] <= got.chi[1, 2]:  # past the mirrored triple point
@@ -535,7 +522,7 @@ def coexistence_curve(beta: float, step: float = 0.005,
                     for m in got.pair]
             emit(tp.alpha.array[[0, 2, 1]], *near, tp.depth)
             break
-        ev, h_failed = got, None
+        ev = got
         t = np.linalg.svd(ev.jac)[2][-1]
         tangent = t if float(np.dot(t, tangent)) >= 0.0 else -t
         emit(ev.chi[1], *ev.pair, float(ev.sv[1]))

@@ -380,9 +380,10 @@ def _reduced_roots(beta: float, alphas: np.ndarray):
     The zeros of F'' and then of F' join the samples before F is scanned,
     so the close roots next to a fold or a cusp are separated without a
     denser grid.  Roots come from sign changes of F between samples, from
-    exact zeros at samples and from tangential extrema; a root on a branch
-    point, where a tie in alpha makes two branches meet, shows up in
-    several pairs.  A root with a component below ``INTERIOR_MARGIN``
+    exact zeros at samples, from zeros of F'' where F is at rounding level
+    (A3 points) and from tangential extrema; a root on a branch point,
+    where a tie in alpha makes two branches meet, shows up in several
+    pairs.  A root with a component below ``INTERIOR_MARGIN``
     cannot be represented as a ``SpinDistribution``; rather than drop it,
     the census of its field fails with a ``NumericalError``.
 
@@ -417,6 +418,7 @@ def _reduced_roots(beta: float, alphas: np.ndarray):
     f = _scan(beta, log_r[:, None], t).reshape(4, -1, 4)
     field = np.repeat(np.arange(m), len(t))
     t = np.concatenate([t] * m)
+    inflection = np.zeros((len(t), 4), dtype=bool)  # F'' zero of pair b
     for order in (2, 1):
         # at a tie F', F'' jump where the branches meet (t = 1/beta): no
         # zero; neither is a change from one field's samples to the next
@@ -431,14 +433,22 @@ def _reduced_roots(beta: float, alphas: np.ndarray):
         field = np.concatenate([field, field[k_new]])
         rank = np.lexsort((t, field))
         t, f, field = t[rank], f[:, rank], field[rank]
+        added = (b_new[:, None] == np.arange(4)) & (order == 2)
+        inflection = np.concatenate([inflection, added])[rank]
     # after the last round: where the extrema of F sit among the samples
     e_ext, b_ext = np.argsort(rank)[n:], b_new
 
+    # F within the rounding unit of ``_bracketed_halley`` at a zero of F''
+    # is the triple root of an A3 point: a root, like an exact zero, and
+    # the brackets on either side of it are left alone
+    zero = (f[0] == 0.0) | (inflection
+                            & (np.abs(f[0]) <= 4.0 * np.finfo(float).eps))
     k_root, b_root = np.nonzero((f[0, :-1] * f[0, 1:] < 0.0)
+                                & ~(zero[:-1] | zero[1:])
                                 & (field[:-1] == field[1:])[:, None])
     t_root = refine(0, k_root, b_root)[0]
     f = f[0]
-    k_zero, b_zero = np.nonzero(f == 0.0)
+    k_zero, b_zero = np.nonzero(zero)
     # an extremum within _TANGENT_TOL of zero with no sign change on
     # either side touches zero: a double root at a fold
     fe = f[e_ext, b_ext]

@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -355,6 +356,7 @@ class TestTriplePointSweep:
             for m in tp.minimizers:
                 assert np.abs(found - m.array).max(axis=1).min() <= 1e-6
             curve = pl.coexistence_curve(beta, origin=tp)
+            assert curve.status in ("fold", "triple"), beta
             assert curve.points, beta
             assert all(np.isfinite(p.alpha.array).all()
                        and np.isfinite(p.depth) for p in curve.points)
@@ -504,7 +506,7 @@ class TestCoexistenceCurve:
                 want = loop_conditions(beta, nu)
                 assert all(np.array_equal(g, x) for g, x in zip(got, want))
 
-    @pytest.mark.parametrize("beta, evals, n_points", [(2.6, 115, 25),
+    @pytest.mark.parametrize("beta, evals, n_points", [(2.6, 71, 21),
                                                        (2.7, 87, 27)])
     def test_residual_evaluations_per_curve(self, monkeypatch, beta, evals,
                                             n_points):
@@ -523,7 +525,10 @@ class TestCoexistenceCurve:
         assert len(calls) == evals
         assert len(curve.points) == n_points
 
-    @pytest.mark.parametrize("beta", [2.6, 2.65])
+    # next to the butterfly point the pair merges a few steps from the
+    # triple point
+    @pytest.mark.parametrize("beta", [2.6, 2.65, 18.0 / 7.0 + 5e-4,
+                                      18.0 / 7.0 + 1e-3])
     def test_ends_at_cusp(self, beta, curve26):
         curve = (curve26 if beta == 2.6 else
                  pl.coexistence_curve(beta, step=0.005,
@@ -548,6 +553,42 @@ class TestCoexistenceCurve:
         assert any(p.kind is PointKind.DEGENERATE
                    and np.abs(p.nu.array - a).max() <= 1e-6
                    for p in cens.points)
+
+    @pytest.mark.parametrize("beta", [2.6, *np.linspace(2.58, 2.66, 10)])
+    def test_end_is_reproducible(self, beta):
+        # 1e-13 moves of the start move the pair gap that ends the curve
+        # by about as much: one status and one length
+        tp = pl.triple_point(beta)
+        rng = np.random.default_rng(19)
+        ends = set()
+        for _ in range(20):
+            moved = tuple(pl.SpinDistribution.from_array(
+                m.array + 1e-13 * rng.standard_normal(3))
+                for m in tp.minimizers)
+            curve = pl.coexistence_curve(
+                beta, origin=replace(tp, minimizers=moved))
+            ends.add((curve.status, len(curve.points)))
+        assert len(ends) == 1, ends
+
+    @pytest.mark.parametrize("beta", [2.62, 2.65])
+    def test_census_at_cusp_from_nearby_starts(self, beta):
+        # from 10 starts within 2e-3 of the curve's cusp, ``_cusp_point``
+        # finds that A3 point, and the census at its field finds it as a
+        # DEGENERATE point
+        curve = pl.coexistence_curve(beta, origin=pl.triple_point(beta))
+        cusp = curve.points[-1].minimizers[0].array
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            d = 2e-3 * math.sqrt(rng.uniform()) * np.array(
+                [np.cos(angle), np.sin(angle)])
+            nu = mw._cusp_point(beta, cusp + [d[0], d[1], -d[0] - d[1]])
+            assert np.abs(nu - cusp).max() <= 1e-12
+            alpha = pl.AprioriMeasure.from_array(batch_catastrophe(beta, nu))
+            cens = pl.census(pl.ModelParams(beta, alpha))
+            assert any(p.kind is PointKind.DEGENERATE
+                       and np.abs(p.nu.array - nu).max() <= 1e-6
+                       for p in cens.points), d
 
     def test_hexagon_regime_ends_at_mirrored_triple_point(self):
         # the curve runs from the triple point to the same triple point
