@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, RemovableSingularityError
 from .model import (Permutation, PERMUTATIONS, _interior_lattice,
-                    batch_catastrophe, batch_degeneracy_lhs, batch_pq)
+                    batch_catastrophe, batch_pq)
 
 BETA_BEAK = 8.0 / 3.0
 # Surface sheet values above this, next to the corners, are skipped.
@@ -344,20 +344,3 @@ def butterfly_expansion(beta: float) -> ButterflyCoefficients:
     quartic = (((55.0 * b - 552.0) * b + 2078.0) * b - 3496.0) * b + 2232.0
     c4 = b ** 4 * quartic / (72.0 * ((b - 3.0) * (b - 2.0)) ** 2)
     return ButterflyCoefficients(beta=beta, c2=c2, c3=c3, c4=c4, y0=y0)
-
-
-def slice_points_pq(curves) -> np.ndarray:
-    """Concatenated field-plane coordinates of a list of slice curves."""
-    return np.concatenate([batch_pq(c.alpha) for c in curves], axis=0)
-
-
-def check_slice_consistency(curves, tol: float = 1e-9) -> float:
-    """Largest |degeneracy condition| over all samples of the curves."""
-    worst = 0.0
-    for c in curves:
-        res = np.abs(batch_degeneracy_lhs(c.beta, c.nu))
-        worst = max(worst, float(res.max()))
-    if worst > tol:
-        raise NumericalError(f"slice samples violate the degeneracy "
-                             f"condition: max residual {worst}")
-    return worst

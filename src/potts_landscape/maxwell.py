@@ -40,11 +40,12 @@ import numpy as np
 from .critical import BETA_BUTTERFLY, BETA_ELLIS_WANG
 from .errors import DomainError, NumericalError
 from .model import (CLAMP_MARGIN, COEXISTENCE_DEPTH, DEFAULT_TOL,
-                    DEGENERATE_EIG, INTERIOR_MARGIN, AprioriMeasure,
+                    DEGENERATE_EIG, INTERIOR_MARGIN, AprioriMeasure, CoordXY,
                     ModelParams, SpinDistribution, ToleranceConfig,
                     _check_beta, _shifted_terms, _stationary_value,
-                    batch_catastrophe, batch_free_energy, batch_from_xy,
-                    batch_stationary_value, batch_xy, hessian_eigenvalues)
+                    alpha_from_xy, batch_catastrophe, batch_free_energy,
+                    batch_from_xy, batch_stationary_value, batch_xy,
+                    hessian_eigenvalues)
 from .rootfind import _bracketed_halley, bracketed_root
 from .stationary import MinimaCensus, _branch_values, census
 
@@ -95,7 +96,7 @@ class AxisSegment:
         return self.y_hi <= self.y_lo
 
     def alpha_at(self, y: float) -> AprioriMeasure:
-        return _axis_field(y)
+        return alpha_from_xy(CoordXY(0.0, y))
 
     def sample_ys(self, n: int) -> np.ndarray:
         span = self.y_hi - self.y_lo
@@ -142,11 +143,6 @@ def symmetric_segment(beta: float, tol: ToleranceConfig = DEFAULT_TOL) -> AxisSe
 def _segment_to_triple(tp: CoexistencePoint) -> AxisSegment:
     """The symmetric segment ending at, and carrying, a solved triple point."""
     return AxisSegment(tp.beta, -0.5, float(batch_xy(tp.alpha.array)[1]), tp)
-
-
-def _axis_field(y: float) -> AprioriMeasure:
-    """The field at the axis point with the given y-coordinate."""
-    return AprioriMeasure.from_array(batch_from_xy([0.0, float(y)]))
 
 
 def _segment_curve(beta: float, s):
@@ -207,7 +203,7 @@ def axis_minima(beta: float, y: float, tol: ToleranceConfig = DEFAULT_TOL):
     symmetric ones (first two components equal) and the pair member with
     x > 0, read off the census there.  Returns (sym, asym) as lists of
     simplex arrays."""
-    cens = census(ModelParams(beta, _axis_field(y)), tol=tol)
+    cens = census(ModelParams(beta, alpha_from_xy(CoordXY(0.0, y))), tol)
     return _axis_split(p.nu for p in cens.minima)
 
 
@@ -356,21 +352,19 @@ def _pair_gap(pair: np.ndarray) -> float:
 
 
 def _solve_pair(beta: float, w0: np.ndarray, pivot: int):
-    """Damped Newton on the field-free system, holding state coordinate
-    ``pivot`` fixed, to a residual norm of 1e-12 within 60 steps; returns
-    the evaluation (``_pair_residual``) there or None.
-
-    The line search halves the step length lam until the residual norm
-    drops by at least 1e-4 lam |r| (Armijo).  It stagnates, and the solve
-    fails, once the decrease lam |r| that the linear model promises is
-    below 1e-12: so short a step can no longer decide convergence, only
-    chase rounding noise."""
+    """Newton on the field-free system, holding state coordinate ``pivot``
+    fixed, to a residual norm of 1e-12 within 60 full steps; returns the
+    evaluation (``_pair_residual``) there, or None at a singular Jacobian
+    or at the first step that does not lower the residual norm (a NaN, off
+    the simplex, does not): the caller's halved step costs less than a
+    line search along a step that the linear model mispredicts."""
     keep = [k for k in range(4) if k != pivot]
-    ev = _pair_residual(beta, w0)
-    if not np.all(np.isfinite(ev.residual)):
-        return None
-    rn = np.linalg.norm(ev.residual)
-    for _ in range(60):
+    w, rn = w0, np.inf
+    for _ in range(61):  # the start and 60 steps
+        ev = _pair_residual(beta, w)
+        prev, rn = rn, np.linalg.norm(ev.residual)
+        if not rn < prev:
+            return None
         if rn <= 1e-12:
             return ev
         step = np.zeros(4)
@@ -378,17 +372,8 @@ def _solve_pair(beta: float, w0: np.ndarray, pivot: int):
             step[keep] = np.linalg.solve(ev.jac[:, keep], -ev.residual)
         except np.linalg.LinAlgError:
             return None
-        lam = 1.0
-        while True:
-            if lam * rn <= 1e-12:
-                return None
-            cand = _pair_residual(beta, ev.w + lam * step)
-            rcn = np.linalg.norm(cand.residual)
-            if np.isfinite(rcn) and rcn <= (1.0 - 1e-4 * lam) * rn:
-                ev, rn = cand, rcn
-                break
-            lam *= 0.5
-    return ev if rn <= 1e-12 else None
+        w = w + step
+    return None
 
 
 def _cusp_conditions(beta: float, nu: np.ndarray):
@@ -448,8 +433,8 @@ def coexistence_curve(beta: float, step: float = 0.005,
     x > 0, global.  The opening steps are shorter than ``step`` where the
     triple point's geometry asks for it (see ``h_open``); later steps
     double back up to ``step``.  A trial fails, and the step halves,
-    where the corrector does not converge, jumps, hops onto mu == nu or
-    lands on a degenerate minimizer.  Termination:
+    where a Newton step does not lower the residual, jumps, hops onto
+    mu == nu or lands on a degenerate minimizer.  Termination:
 
     - 'fold': the pair merges into a cusp of the bifurcation set.  A step
       that starts with the pair within ``_FOLD_GAP`` of each other ends the

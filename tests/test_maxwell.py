@@ -506,8 +506,11 @@ class TestCoexistenceCurve:
                 want = loop_conditions(beta, nu)
                 assert all(np.array_equal(g, x) for g, x in zip(got, want))
 
-    @pytest.mark.parametrize("beta, evals, n_points", [(2.6, 71, 21),
-                                                       (2.7, 87, 27)])
+    @pytest.mark.parametrize("beta, evals, n_points", [
+        (2.6, 71, 21), (2.7, 87, 27),
+        # a failed trial next to the butterfly point ends at its first
+        # Newton step that does not lower the residual
+        (18.0 / 7.0 + 5e-4, 37, 5), (18.0 / 7.0 + 1e-3, 43, 6)])
     def test_residual_evaluations_per_curve(self, monkeypatch, beta, evals,
                                             n_points):
         # one evaluation of the pair system per corrector trial and one at
