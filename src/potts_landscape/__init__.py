@@ -1,6 +1,7 @@
 """Phase diagrams of the three-state Curie-Weiss Potts model in a field."""
 
-from .errors import DomainError, NumericalError, RemovableSingularityError
+from .errors import (DomainError, NumericalError, RemovableSingularityError,
+                     ToleranceError)
 from .model import (AprioriMeasure, CoordPQ, CoordUV, CoordXY, DEFAULT_TOL,
                     ModelParams, Permutation, PERMUTATIONS, SpinDistribution,
                     ToleranceConfig, alpha_from_xy, apply_permutation,

@@ -19,7 +19,7 @@ import numpy as np
 from . import export, svg
 from .bifurcation import fold_lines_pq, slice_curves, surface_patches
 from .critical import all_critical_temps
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, ToleranceError
 from .maxwell import (BETA_ELLIS_WANG, beyond_ellis_wang_segment,
                       coexistence_curve, symmetric_segment,
                       track_segment_pair)
@@ -140,7 +140,8 @@ def label_slice_cells(beta, curves, extent, resolution=512, tol=DEFAULT_TOL):
     with the slice curves drawn as their fold lines (``fold_lines_pq``).
 
     Returns a list of (region, n_local_minima or None): None where the
-    cell is unresolved or its probe census fails."""
+    cell is unresolved or its probe census fails.  A probe census that
+    fails on the residual tolerance raises ``ToleranceError`` instead."""
     return _label_fold_cells(beta, fold_lines_pq(curves), extent, resolution,
                              tol)
 
@@ -153,9 +154,14 @@ def _label_fold_cells(beta, polylines, extent, resolution, tol):
     window = (-extent, extent, -extent, extent)
     regions = label_regions(polylines, window, resolution)
     fields = [_probe_field(r) for r in regions]
-    results = iter(_census_batch(
+    results = _census_batch(
         [ModelParams(beta, alpha) for alpha in fields if alpha is not None],
-        tol))
+        tol)
+    short = next((r for r in results if isinstance(r, ToleranceError)), None)
+    if short is not None:  # a '?' would hide that --tol is out of reach
+        raise ToleranceError(f"a cell's probe census fails at --tol "
+                             f"{tol.residual!r}: {short}")
+    results = iter(results)
     labelled = []
     for r, alpha in zip(regions, fields):
         cens = next(results) if alpha is not None else None

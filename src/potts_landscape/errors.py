@@ -12,3 +12,7 @@ class RemovableSingularityError(DomainError):
 
 class NumericalError(RuntimeError):
     """An iterative computation failed to converge or lost a tracked branch."""
+
+
+class ToleranceError(NumericalError):
+    """A solve ends above the residual tolerance it was asked to meet."""

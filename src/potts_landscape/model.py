@@ -347,14 +347,13 @@ def batch_hessian(beta, nu) -> np.ndarray:
                            [1/n3 - b,         1/n2 + 1/n3 - 2b]].
     """
     b = np.asarray(beta, dtype=float)
-    n = np.asarray(nu, dtype=float)
-    inv = 1.0 / n
-    h11 = inv[..., 0] + inv[..., 2] - 2.0 * b
-    h22 = inv[..., 1] + inv[..., 2] - 2.0 * b
+    inv = 1.0 / np.asarray(nu, dtype=float)
     h12 = inv[..., 2] - b
-    row1 = np.stack([h11, h12], axis=-1)
-    row2 = np.stack([h12, h22], axis=-1)
-    return np.stack([row1, row2], axis=-2)
+    h = np.empty(h12.shape + (2, 2))
+    h[..., 0, 0] = inv[..., 0] + inv[..., 2] - 2.0 * b
+    h[..., 1, 1] = inv[..., 1] + inv[..., 2] - 2.0 * b
+    h[..., 0, 1] = h[..., 1, 0] = h12
+    return h
 
 
 def batch_degeneracy_lhs(beta, nu) -> np.ndarray:
@@ -451,4 +450,4 @@ def hessian_eigenvalues(beta: float, nu) -> np.ndarray:
     a, b_, c = h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]
     mid = 0.5 * (a + c)
     rad = np.sqrt((0.5 * (a - c)) ** 2 + b_ * b_)
-    return np.stack([mid - rad, mid + rad], axis=-1)
+    return mid[..., None] + rad[..., None] * np.array([-1.0, 1.0])

@@ -8,8 +8,10 @@ import numpy as np
 
 from .errors import NumericalError
 
+_EPS = 4.0 * np.finfo(float).eps  # the rounding unit of the stopping tests
 
-def _bracketed_halley(fun, lo, hi, end_lo, end_hi):
+
+def _bracketed_halley(fun, lo, hi, end_lo, end_hi, settled=None):
     """Roots of ``fun`` (value, slope, maybe second derivative) in all the
     brackets [lo, hi] at once, from value (signs opposite) and slope at the
     ends.  Start at the root of the ends' cubic Hermite interpolant (the
@@ -18,35 +20,46 @@ def _bracketed_halley(fun, lo, hi, end_lo, end_hi):
     the last one, else bisect (``rtsafe``).  Done when the Newton step or
     the width is at rounding level, or when a step inside the bracket fails
     the halving test within 1e3 rounding units: that is rounding noise.
+    A caller that needs less than a root to rounding passes ``settled``:
+    a bracket is then also done at an iterate x whose correction dx stays
+    inside the bracket and where ``settled(x, |dx|)`` holds.
     A bracket once done keeps its root, so each root is the same whatever
-    other brackets share the call."""
+    other brackets share the call.  Every root returned is the iterate of
+    the last call of ``fun``, so the caller can keep what it computed."""
     if not len(lo):
         return lo
-    eps = 4.0 * np.finfo(float).eps
     (f0, d0), (f1, d1), h = end_lo, end_hi, hi - lo
-    c2 = 3.0 * (f1 - f0) - h * (2.0 * d0 + d1)
-    c3 = 2.0 * (f0 - f1) + h * (d0 + d1)
-    u = f0 / (f0 - f1)
+    df0, hd0 = f0 - f1, h * d0
+    c2 = -3.0 * df0 - h * (2.0 * d0 + d1)
+    c3 = 2.0 * df0 + h * (d0 + d1)
+    c2x2, c3x3 = 2.0 * c2, 3.0 * c3
+    u = f0 / df0
     for _ in range(2):
-        u = u - (((c3 * u + c2) * u + h * d0) * u + f0) / (
-            (3.0 * c3 * u + 2.0 * c2) * u + h * d0)
+        u = u - (((c3 * u + c2) * u + hd0) * u + f0) / (
+            (c3x3 * u + c2x2) * u + hd0)
     x = np.where((u > 0.0) & (u < 1.0), lo + u * h, 0.5 * (lo + hi))
-    step, sign_lo = h, np.sign(f0)
+    step, sign_lo = np.abs(h), np.sign(f0)
     for _ in range(100):
         f, df, *d2f = fun(x)
         left = np.sign(f) == sign_lo
         lo = np.where(left, x, lo)
         hi = np.where(left, hi, x)
-        dx = f / df / (1.0 - 0.5 * f * d2f[0] / (df * df) if d2f else 1.0)
-        inside = (lo <= x - dx) & (x - dx <= hi)
-        ok = inside & (2.0 * np.abs(dx) <= np.abs(step))
-        done = ((np.abs(f) <= eps * np.abs(x * df)) | (hi - lo <= eps * x)
-                | (inside & ~ok & (np.abs(dx) <= 1e3 * eps * x)))
-        if np.all(done):
-            break
-        new = np.where(done, x, np.where(ok, x - dx, 0.5 * (lo + hi)))
+        dx = f / df
+        if d2f:
+            dx = dx / (1.0 - 0.5 * f * d2f[0] / (df * df))
+        x_dx, size = x - dx, np.abs(dx)
+        inside = (lo <= x_dx) & (x_dx <= hi)
+        ok = inside & (2.0 * size <= step)
+        done = ((np.abs(f) <= _EPS * np.abs(x * df)) | (hi - lo <= _EPS * x)
+                | (inside & ~ok & (size <= 1e3 * _EPS * x)))
+        if settled is not None:
+            done |= inside & settled(x, size)
+        if done.all():
+            return x
+        new = np.where(done, x, np.where(ok, x_dx, 0.5 * (lo + hi)))
         step = np.abs(new - x)
         x = new
+    fun(x)  # the iteration cap: end on an evaluated iterate all the same
     return x
 
 

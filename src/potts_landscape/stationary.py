@@ -14,19 +14,19 @@ al. 1996, Adv. Comput. Math. 5:329-359), below and above ``x = 1/beta``.
 The stationary points are the roots of ``F_b(t) = t + x_i + x_j - 1`` over
 the four branch pairs b.  They are bracketed by a scan of F whose samples
 include the zeros of F'' and F', refined by Halley steps from the roots of
-cubic Hermite interpolants, polished by a few Newton steps on the local
-gradient and classified through the Hessian spectrum.  ``census`` wraps
-this into the minima count that settles which cell of the phase diagram a
-parameter point belongs to.  ``censuses`` solves many fields at one beta
-together, sharing the samples and every refinement round; ``census`` is its
-batch of one.
+cubic Hermite interpolants (the F'' and F' zeros only until they settle
+which cell a root of F lies in), polished by a few Newton steps on the
+local gradient and classified through the Hessian spectrum.  ``census``
+wraps this into the minima count that settles which cell of the phase
+diagram a parameter point belongs to.  ``censuses`` solves many fields at
+one beta together, sharing the samples and every refinement round;
+``census`` is its batch of one.
 
 Damped Newton from a barycentric seed lattice (``newton_stationary``,
 ``stationary_points_from_seeds``) is kept only as the tests' independent
-method: no other module of the package calls it.  ``brute_force_global_min``
-is the slow grid oracle used to cross-check global-minimizer claims; it
-refines the best lattice node with the same few Newton steps that polish
-the census roots.
+method.  ``brute_force_global_min`` is the slow grid oracle that checks
+global-minimizer claims; it refines the best lattice node with the same
+few Newton steps that polish the census roots.
 """
 
 from __future__ import annotations
@@ -37,13 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, ToleranceError
 from .model import (CLAMP_MARGIN, DEFAULT_TOL, DEGENERATE_EIG,
                     INTERIOR_MARGIN, MERGE_RADIUS, ModelParams,
                     SpinDistribution, ToleranceConfig, _interior_lattice,
                     batch_free_energy, batch_gradient, batch_hessian,
                     batch_xy, hessian_eigenvalues)
-from .rootfind import _bracketed_halley
+from .rootfind import _EPS, _bracketed_halley
 
 _CORNER_MARGIN = 1e-3  # offset of the corner and edge seeds of the grid
 _NEWTON_MAX_ITER = 200  # damped Newton's iterations
@@ -144,10 +144,8 @@ def newton_stationary(beta: float, alpha: np.ndarray, seeds: np.ndarray,
         n_a = nu[idx]
         d1, d2, ok_det = _newton_step(beta, n_a, g[idx])
         # cap the step at the simplex diameter scale
-        step_len = np.hypot(d1, d2)
-        big = step_len > 1.0
-        d1[big] /= step_len[big]
-        d2[big] /= step_len[big]
+        step_len = np.maximum(np.hypot(d1, d2), 1.0)
+        d1, d2 = d1 / step_len, d2 / step_len
 
         lam = np.ones(len(idx))
         improved = np.zeros(len(idx), dtype=bool)
@@ -181,19 +179,18 @@ def newton_stationary(beta: float, alpha: np.ndarray, seeds: np.ndarray,
     return nu[done | (gnorm <= tol.residual)]
 
 
-def _dedupe_xy(points: np.ndarray, owner: np.ndarray,
-               radius: float) -> np.ndarray:
+def _dedupe_xy(points: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """Indices of the (n, 3) rows kept when rows of one owner within
-    Euclidean ``radius`` in plane coordinates are merged: owner by owner
+    Euclidean ``MERGE_RADIUS`` in plane coordinates are merged: owner by owner
     (ascending), in a deterministic lexicographic order."""
     xy = batch_xy(points)
     keep, reps_xy, current = [], [], None
-    owners = owner.tolist()
-    for k in np.lexsort((xy[:, 1], xy[:, 0], owner)).tolist():
-        if owners[k] != current:
-            current, reps_xy = owners[k], []
-        p = xy[k]
-        if all((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 > radius * radius
+    order = np.lexsort((xy[:, 1], xy[:, 0], owner))
+    for k, o, p in zip(order.tolist(), owner[order].tolist(),
+                       xy[order].tolist()):
+        if o != current:
+            current, reps_xy = o, []
+        if all((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 > MERGE_RADIUS ** 2
                for q in reps_xy):
             keep.append(k)
             reps_xy.append(p)
@@ -208,29 +205,23 @@ def _kind(lo: float, hi: float) -> PointKind:
     return PointKind.MAXIMUM if hi < 0.0 else PointKind.SADDLE
 
 
-def classify(beta: float, nu):
-    """(eig_lo, eig_hi, PointKind) for one simplex point."""
-    lo, hi = map(float, hessian_eigenvalues(beta, np.asarray(nu, dtype=float)))
-    return lo, hi, _kind(lo, hi)
-
-
 def _classified(beta: float, alpha: np.ndarray, roots: np.ndarray,
                 owner: np.ndarray, m: int) -> list:
     """For each field 0..m-1, the converged ``roots`` it owns (``owner``;
     ``alpha`` one field per row) deduplicated and classified,
     ordered lexicographically in plane coordinates, or a ``NumericalError``
     where it owns none."""
-    keep = _dedupe_xy(roots, owner, MERGE_RADIUS)
+    keep = _dedupe_xy(roots, owner)
     roots = roots[keep]
     # with no roots every field is refused below; the Hessian is skipped,
     # as its 2 beta overflows near the float maximum, where none converges
     eigs = hessian_eigenvalues(beta, roots).tolist() if len(roots) else []
     values = batch_free_energy(beta, alpha[keep], roots).tolist()
     points = [[] for _ in range(m)]
-    for i, row, (lo, hi), value in zip(owner[keep].tolist(), roots, eigs,
-                                       values):
-        points[i].append(StationaryPoint(SpinDistribution.from_array(row),
-                                         (lo, hi), _kind(lo, hi), value))
+    for i, row, (lo, hi), value in zip(owner[keep].tolist(), roots.tolist(),
+                                       eigs, values):
+        points[i].append(StationaryPoint(SpinDistribution(*row), (lo, hi),
+                                         _kind(lo, hi), value))
     return [found or NumericalError(
         "no stationary point converged; a smooth landscape with boundary "
         "divergence has at least one minimum") for found in points]
@@ -256,6 +247,8 @@ def stationary_points_from_seeds(beta: float, alpha: np.ndarray,
 _PAIRS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
 # |F| at an extremum up to which it counts as a tangential (double) root.
 _TANGENT_TOL = 1e-12
+# Correction, relative to t, that settles a zero of F'' or F' as a split.
+_SPLIT_TOL = 1e-8
 
 
 def _lambert_log(d, upper):
@@ -290,12 +283,15 @@ def _branch_gap(s):
     (through the atanh series of log1p), where the branch derivatives
     divide by its square root."""
     w = s - 1.0
+    near = np.abs(w) < 0.1
+    if not near.any():
+        return w - np.log(s)
     z = w / (2.0 + w)
     z2 = z * z
     series = 2.0 * z2 / (1.0 - z) - 2.0 * z * z2 * (
         1 / 3 + z2 * (1 / 5 + z2 * (1 / 7 + z2 * (1 / 9 + z2 * (
             1 / 11 + z2 / 13)))))
-    return np.where(np.abs(w) < 0.1, series, w - np.log(s))
+    return np.where(near, series, w - np.log(s))
 
 
 def _branch_values(beta: float, log_r, t, upper, orders: int = 4):
@@ -312,11 +308,12 @@ def _branch_values(beta: float, log_r, t, upper, orders: int = 4):
     if orders > 1:
         x1 = out[1] = x * (1.0 - s) / (t * gap)
     if orders > 2:
-        x2 = out[2] = (x1 * x1 / x - x / (t * t)) / gap
+        x1x1, tt = x1 * x1, t * t
+        x2 = out[2] = (x1x1 / x - x / tt) / gap
     if orders > 3:
-        out[3] = (2.0 * x1 * x2 / x - x1 ** 3 / (x * x) - x1 / (t * t)
+        out[3] = (2.0 * x1 * x2 / x - x1x1 * x1 / (x * x) - x1 / tt
                   + 2.0 * x / t ** 3 + beta * x1 * x2) / gap
-    if np.any(log_r == 0.0):
+    if np.equal(log_r, 0.0).any():
         # at a tie one root is t itself: take it exactly (exact symmetry)
         own = (log_r == 0.0) & (np.asarray(upper) == (s > 1.0))
         out[1:] = np.where(own | (gap == 0.0), 0.0, out[1:])
@@ -361,13 +358,14 @@ _UPPER = _SIDES == 1
 def _scan(beta: float, log_r, t, orders: int = 4):
     """F = t + x_i + x_j - 1 and its first ``orders - 1`` derivatives on all
     four pairs at samples ``t``, where ``log_r[..., :]`` broadcasts against
-    ``t``: shape (orders,) + broadcast shape + (4,)."""
+    ``t``: shape (orders,) + broadcast shape + (4,); and the branch values
+    (x_i, x_j) they sum, with a trailing axis of 2."""
     xs = _branch_values(beta, log_r[..., None], t[..., None, None], _UPPER,
-                        orders)
-    out = xs[..., _SIDES, _PAIRS].sum(axis=-1)
+                        orders)[..., _SIDES, _PAIRS]
+    out = xs.sum(axis=-1)
     out[0] += t[..., None] - 1.0
     out[1:2] += 1.0
-    return out
+    return out, xs
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -379,21 +377,26 @@ def _reduced_roots(beta: float, alphas: np.ndarray):
 
     The zeros of F'' and then of F' join the samples before F is scanned,
     so the close roots next to a fold or a cusp are separated without a
-    denser grid.  Roots come from sign changes of F between samples, from
-    exact zeros at samples, from zeros of F'' where F is at rounding level
-    (A3 points) and from tangential extrema; a root on a branch point,
-    where a tie in alpha makes two branches meet, shows up in several
-    pairs.  A root with a component below ``INTERIOR_MARGIN``
-    cannot be represented as a ``SpinDistribution``; rather than drop it,
-    the census of its field fails with a ``NumericalError``.
+    denser grid.  These split rounds stop a bracket once a correction is
+    at most ``_SPLIT_TOL`` t where |F| > ``_TANGENT_TOL``: a root pair of F
+    that close would need F' to vanish too, and F then moves far less than
+    |F| there, so no pair hides and F keeps the sign of the exact zero.
+    Smaller |F|, a possible A3 or tangential root, refines to rounding.
+    Each root keeps the branch values of the evaluation that found it.  Roots
+    come from sign changes of F between samples, from exact zeros at
+    samples, from zeros of F'' where F is at rounding level (A3 points) and
+    from tangential extrema; a root on a branch point, where a tie in alpha
+    makes two branches meet, shows up in several pairs.  A root with a
+    component below ``INTERIOR_MARGIN`` cannot be represented as a
+    ``SpinDistribution``; rather than drop it, the census of its field
+    fails with a ``NumericalError``.
 
     The fields' samples are kept in one list sorted by field, then by
     ``t``; every field starts from the samples of its beta and each round
     refines the brackets of all fields in one call.  Each root is computed
     element by element, so it is the same in any batch.
     """
-    m = len(alphas)
-    k = alphas.argmax(axis=1)
+    m, k = len(alphas), alphas.argmax(axis=1)
     others = _OTHERS[k]
     rows = np.arange(m)[:, None]
     log_alpha = np.log(alphas)
@@ -402,20 +405,25 @@ def _reduced_roots(beta: float, alphas: np.ndarray):
 
     def refine(order, j, b):
         """Zeros of derivative ``order`` of F in (t[j], t[j + 1]) on pairs
-        b, and the scan at them (the last evaluation: all brackets end on
-        an evaluated point)."""
-        last = np.empty((4, 0, 4))
+        b, and the scan there: the last evaluation, where every bracket ends."""
         lr, at = log_r[field[j]], np.arange(len(j))
+        last = np.empty((4, 0, 4)), np.empty((4, 0, 4, 2))
 
         def fun(x):
             nonlocal last
             last = _scan(beta, lr, x, min(order + 3, 4))
-            return last[order:, at, b]
+            return last[0][order:, at, b]
+
+        def settled(x, size):  # sorts the samples as the zero would
+            return ((size <= _SPLIT_TOL * x)
+                    & (np.abs(last[0][0, at, b]) > _TANGENT_TOL))
         return _bracketed_halley(fun, t[j], t[j + 1], f[order:order + 2, j, b],
-                                 f[order:order + 2, j + 1, b]), last
+                                 f[order:order + 2, j + 1, b],
+                                 settled if order else None), *last
 
     t = _samples(beta)
-    f = _scan(beta, log_r[:, None], t).reshape(4, -1, 4)
+    f, x = _scan(beta, log_r[:, None], t)
+    f, x = f.reshape(4, -1, 4), x[0].reshape(-1, 4, 2)  # x: branch values
     field = np.repeat(np.arange(m), len(t))
     t = np.concatenate([t] * m)
     inflection = np.zeros((len(t), 4), dtype=bool)  # F'' zero of pair b
@@ -426,13 +434,14 @@ def _reduced_roots(beta: float, alphas: np.ndarray):
         cut = (cut[:-1] | cut[1:]) | (field[:-1] != field[1:])
         k_new, b_new = np.nonzero((f[order, :-1] * f[order, 1:] < 0.0)
                                   & ~cut[:, None])
-        t_new, f_new = refine(order, k_new, b_new)
+        t_new, f_new, x_new = refine(order, k_new, b_new)
         n = len(t)
         t = np.concatenate([t, t_new])
         f = np.concatenate([f, f_new], axis=1)
+        x = np.concatenate([x, x_new[0]])
         field = np.concatenate([field, field[k_new]])
         rank = np.lexsort((t, field))
-        t, f, field = t[rank], f[:, rank], field[rank]
+        t, f, x, field = t[rank], f[:, rank], x[rank], field[rank]
         added = (b_new[:, None] == np.arange(4)) & (order == 2)
         inflection = np.concatenate([inflection, added])[rank]
     # after the last round: where the extrema of F sit among the samples
@@ -441,12 +450,11 @@ def _reduced_roots(beta: float, alphas: np.ndarray):
     # F within the rounding unit of ``_bracketed_halley`` at a zero of F''
     # is the triple root of an A3 point: a root, like an exact zero, and
     # the brackets on either side of it are left alone
-    zero = (f[0] == 0.0) | (inflection
-                            & (np.abs(f[0]) <= 4.0 * np.finfo(float).eps))
+    zero = (f[0] == 0.0) | (inflection & (np.abs(f[0]) <= _EPS))
     k_root, b_root = np.nonzero((f[0, :-1] * f[0, 1:] < 0.0)
                                 & ~(zero[:-1] | zero[1:])
                                 & (field[:-1] == field[1:])[:, None])
-    t_root = refine(0, k_root, b_root)[0]
+    t_root, _, x_root = refine(0, k_root, b_root)
     f = f[0]
     k_zero, b_zero = np.nonzero(zero)
     # an extremum within _TANGENT_TOL of zero with no sign change on
@@ -455,12 +463,11 @@ def _reduced_roots(beta: float, alphas: np.ndarray):
     touch = ((np.abs(fe) <= _TANGENT_TOL)
              & (f[e_ext - 1, b_ext] * fe > 0.0)
              & (f[e_ext + 1, b_ext] * fe > 0.0))
-    owner = field[np.concatenate([k_root, k_zero, e_ext[touch]])]
-    t_all = np.concatenate([t_root, t[k_zero], t[e_ext[touch]]])
-    b_all = np.concatenate([b_root, b_zero, b_ext[touch]])
-
-    x = _branch_values(beta, log_r[owner], t_all[:, None],
-                       _PAIRS[b_all] == 1, 1)[0]
+    e_ext, b_ext = e_ext[touch], b_ext[touch]
+    owner = field[np.concatenate([k_root, k_zero, e_ext])]
+    t_all = np.concatenate([t_root, t[k_zero], t[e_ext]])
+    x = np.concatenate([x_root[0, np.arange(len(b_root)), b_root],
+                        x[k_zero, b_zero], x[e_ext, b_ext]])
     nu = np.empty((len(t_all), 3))
     at = np.arange(len(t_all))
     nu[at, k[owner]] = t_all
@@ -468,18 +475,14 @@ def _reduced_roots(beta: float, alphas: np.ndarray):
     nu /= nu.sum(axis=1, keepdims=True)
     lost = nu.min(axis=1) < INTERIOR_MARGIN
     errors = [None] * m
-    if np.any(lost):
-        failed = np.zeros(m, dtype=bool)
-        failed[owner[lost]] = True
-        for i in np.flatnonzero(failed).tolist():
-            out = nu[lost & (owner == i)]
-            errors[i] = NumericalError(
-                f"{len(out)} stationary point(s) lie outside the "
-                f"representable interior: smallest component "
-                f"{float(out.min())!r} < {INTERIOR_MARGIN!r}")
-        keep = ~failed[owner]
-        nu, owner = nu[keep], owner[keep]
-    return nu, owner, errors
+    for i in set(owner[lost].tolist()):
+        out = nu[lost & (owner == i)]
+        errors[i] = NumericalError(
+            f"{len(out)} stationary point(s) lie outside the "
+            f"representable interior: smallest component "
+            f"{float(out.min())!r} < {INTERIOR_MARGIN!r}")
+    keep = np.array([errors[i] is None for i in owner.tolist()], dtype=bool)
+    return nu[keep], owner[keep], errors
 
 
 def _polish(beta: float, alpha: np.ndarray, nu: np.ndarray,
@@ -527,11 +530,8 @@ def _census_of(params: ModelParams, points: list,
     # a degenerate point with a positive definite Hessian is a minimum
     # closer to a fold than the degeneracy tolerance: it can be global
     candidates = [p for p in points if p.hess_eigenvalues[0] > 0.0]
-    if candidates:
-        vmin = min(p.value for p in candidates)
-        glob = tuple(p for p in candidates if p.value <= vmin + tol.depth)
-    else:
-        glob = ()
+    vmin = min((p.value for p in candidates), default=0.0)
+    glob = tuple(p for p in candidates if p.value <= vmin + tol.depth)
     return MinimaCensus(params=params, points=tuple(points),
                         n_local_minima=len(minima), global_minimizers=glob,
                         degenerate_warning=degenerate)
@@ -549,7 +549,7 @@ def _census_batch(params: list, tol: ToleranceConfig) -> list:
     # a root left above the residual fails its field, which would lose it
     for i, k in enumerate(np.bincount(owner[~ok], minlength=len(params))):
         if k:
-            errors[i] = NumericalError(
+            errors[i] = ToleranceError(
                 f"{k} stationary point(s) keep a gradient norm above the "
                 f"residual tolerance {tol.residual!r}")
     points = _classified(beta, alphas[owner[ok]], nu[ok], owner[ok],

@@ -294,6 +294,22 @@ class TestCellLabels:
             assert (sum(not r.resolved for r, _ in labelled)
                     == sum(not r.resolved for r, _ in oracle))
 
+    def test_tol_below_the_polish_fails_the_command(self, capsys, tmp_path):
+        """A probe census that fails on the residual tolerance fails the
+        command with one line naming --tol, where a '?' would not say why;
+        the cells too thin to resolve keep their '?' at the default."""
+        argv = ["slice", "--beta", "2.3", "--format", "svg", "--label-cells"]
+        out = tmp_path / "cells.svg"
+        assert run([*argv, "--tol", "1e-16", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+        assert "--tol 1e-16" in lines[0]
+        assert captured.out == "" and not out.exists()
+        assert run([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().count(">?<") == 8
+
     def test_hexagon_rasterizes_each_fold_line_once(self, monkeypatch):
         """The six branches draw 108,000 points on the hexagon slice; the
         fold lines a third of them."""
