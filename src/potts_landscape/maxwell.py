@@ -54,6 +54,7 @@ _EYE2, _EYE3 = np.eye(2), np.eye(3)
 _THIRD = (3 - np.add.outer(range(3), range(3))) % 3  # the index not i or k
 _SAMPLE_INSET = 0.02  # share of the segment left out at each sampled end
 _CUSP_MAX_ITER = 50  # Newton steps of ``_cusp_point``
+_CUSP_RADIUS = 1e-2  # and how far from its seed it may end
 _CURVE_MAX_STEPS = 5000  # points of ``coexistence_curve``
 # pair gap below which ``coexistence_curve`` closes on the cusp: nearer to
 # it the residual no longer pins the positions to within their gap
@@ -398,8 +399,9 @@ def _cusp_conditions(beta: float, nu: np.ndarray):
 def _cusp_point(beta: float, seed: np.ndarray):
     """The A3 point next to ``seed`` at this temperature: Newton on
     ``_cusp_conditions`` in local coordinates until a step moves it by at
-    most 1e-14."""
-    nu = np.array(seed, dtype=float)
+    most 1e-14.  Plain Newton can reach another A3 point: one more than
+    ``_CUSP_RADIUS`` from the seed is refused."""
+    nu = seed = np.asarray(seed, dtype=float)
     for _ in range(_CUSP_MAX_ITER):
         res, jac = _cusp_conditions(beta, nu)
         try:
@@ -409,7 +411,7 @@ def _cusp_point(beta: float, seed: np.ndarray):
         nu = nu + np.array([d[0], d[1], -d[0] - d[1]])
         if nu.min() <= 0.0 or np.abs(d).max() <= 1e-14:
             break
-    if not (nu.min() > 0.0
+    if not (nu.min() > 0.0 and np.abs(nu - seed).max() <= _CUSP_RADIUS
             and np.abs(_cusp_conditions(beta, nu)[0]).max() <= 1e-10):
         raise NumericalError(
             f"no cusp point found next to {seed} at beta = {beta}")

@@ -18,14 +18,12 @@ def _bracketed_halley(fun, lo, hi, end_lo, end_hi, settled=None):
     midpoint if Newton on the cubic leaves the bracket); take Halley (else
     Newton) steps that stay inside the shrinking bracket and at least halve
     the last one, else bisect (``rtsafe``).  Done when the Newton step or
-    the width is at rounding level, or when a step inside the bracket fails
-    the halving test within 1e3 rounding units: that is rounding noise.
-    A caller that needs less than a root to rounding passes ``settled``:
-    a bracket is then also done at an iterate x whose correction dx stays
-    inside the bracket and where ``settled(x, |dx|)`` holds.
-    A bracket once done keeps its root, so each root is the same whatever
-    other brackets share the call.  Every root returned is the iterate of
-    the last call of ``fun``, so the caller can keep what it computed."""
+    the width is at rounding level, tested before the step is formed, or
+    when a step inside the bracket fails the halving test within 1e3
+    rounding units (rounding noise), or where a caller's ``settled(x,
+    |dx|)`` holds and the correction dx stays inside the bracket.  A done
+    bracket keeps its root, the same whatever other brackets share the
+    call, and every root is the iterate of the last call of ``fun``."""
     if not len(lo):
         return lo
     (f0, d0), (f1, d1), h = end_lo, end_hi, hi - lo
@@ -42,23 +40,25 @@ def _bracketed_halley(fun, lo, hi, end_lo, end_hi, settled=None):
     for _ in range(100):
         f, df, *d2f = fun(x)
         left = np.sign(f) == sign_lo
-        lo = np.where(left, x, lo)
-        hi = np.where(left, hi, x)
+        lo, hi = np.where(left, x, lo), np.where(left, hi, x)
+        ex = _EPS * x
+        done = (np.abs(f) <= np.abs(ex * df)) | (hi - lo <= ex)
+        if done.all():
+            return x
         dx = f / df
         if d2f:
-            dx = dx / (1.0 - 0.5 * f * d2f[0] / (df * df))
+            dx /= 1.0 - 0.5 * f * d2f[0] / (df * df)
         x_dx, size = x - dx, np.abs(dx)
         inside = (lo <= x_dx) & (x_dx <= hi)
-        ok = inside & (2.0 * size <= step)
-        done = ((np.abs(f) <= _EPS * np.abs(x * df)) | (hi - lo <= _EPS * x)
-                | (inside & ~ok & (size <= 1e3 * _EPS * x)))
+        halves = 2.0 * size <= step
+        done |= inside & (size <= 1e3 * ex) & ~halves
         if settled is not None:
             done |= inside & settled(x, size)
         if done.all():
             return x
-        new = np.where(done, x, np.where(ok, x_dx, 0.5 * (lo + hi)))
-        step = np.abs(new - x)
-        x = new
+        new = np.where(done, x, np.where(inside & halves, x_dx,
+                                         0.5 * (lo + hi)))
+        step, x = np.abs(new - x), new
     fun(x)  # the iteration cap: end on an evaluated iterate all the same
     return x
 

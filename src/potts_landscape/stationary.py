@@ -12,15 +12,14 @@ one variable.  With k the index of the largest field component and
 whose two roots lie on the W0 and W-1 branches of Lambert W (Corless et
 al. 1996, Adv. Comput. Math. 5:329-359), below and above ``x = 1/beta``.
 The stationary points are the roots of ``F_b(t) = t + x_i + x_j - 1`` over
-the four branch pairs b.  They are bracketed by a scan of F whose samples
-include the zeros of F'' and F', refined by Halley steps from the roots of
-cubic Hermite interpolants (the F'' and F' zeros only until they settle
-which cell a root of F lies in), polished by a few Newton steps on the
-local gradient and classified through the Hessian spectrum.  ``census``
-wraps this into the minima count that settles which cell of the phase
-diagram a parameter point belongs to.  ``censuses`` solves many fields at
-one beta together, sharing the samples and every refinement round;
-``census`` is its batch of one.
+the four branch pairs b, bracketed by a scan of F whose samples include
+the zeros of F'' and F' (refined only until they settle which cell a root
+of F lies in), refined by Halley steps from the roots of cubic Hermite
+interpolants, polished by a few Newton steps on the local gradient and
+classified through the Hessian spectrum.  ``census`` wraps this into the
+minima count that settles a parameter point's cell of the phase diagram;
+``censuses`` solves many fields at one beta together, sharing the samples
+and every refinement round, and ``census`` is its batch of one.
 
 Damped Newton from a barycentric seed lattice (``newton_stationary``,
 ``stationary_points_from_seeds``) is kept only as the tests' independent
@@ -70,8 +69,7 @@ class MinimaCensus:
     params: ModelParams
     points: tuple             # all stationary points, deterministic order
     n_local_minima: int
-    global_minimizers: tuple  # positive definite points of least value,
-                              # within depth tol
+    global_minimizers: tuple  # positive definite, least value within depth
     degenerate_warning: bool = False
 
     @property
@@ -120,23 +118,19 @@ def _newton_step(beta: float, nu: np.ndarray, g: np.ndarray):
 
 def newton_stationary(beta: float, alpha: np.ndarray, seeds: np.ndarray,
                       tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Damped Newton on the local gradient from each seed row.
-
-    Backtracks by step halving until the gradient norm decreases; seeds that
-    cannot decrease within ``_NEWTON_MAX_HALVINGS`` or do not converge in
-    ``_NEWTON_MAX_ITER`` steps are dropped.  Returns them, shape (m, 3).
-    """
+    """Damped Newton on the local gradient from each seed row, backtracking
+    by step halving until the gradient norm decreases; seeds that cannot
+    decrease it within ``_NEWTON_MAX_HALVINGS`` halvings or do not converge
+    in ``_NEWTON_MAX_ITER`` steps are dropped.  Returns the rest, (m, 3)."""
     nu = _clamp_interior(np.array(seeds, dtype=float))
     active = np.ones(len(nu), dtype=bool)
-    done = np.zeros(len(nu), dtype=bool)
 
     g = batch_gradient(beta, alpha, nu)
     gnorm = np.linalg.norm(g, axis=-1)
 
     for _ in range(_NEWTON_MAX_ITER):
-        conv = active & (gnorm <= tol.residual)
-        done |= conv
-        active &= ~conv
+        # a converged seed keeps its gradient norm, so it is returned
+        active &= ~(gnorm <= tol.residual)
         if not np.any(active):
             break
 
@@ -176,25 +170,7 @@ def newton_stationary(beta: float, alpha: np.ndarray, seeds: np.ndarray,
         # seeds that could not decrease the gradient norm are dropped
         active[idx[~improved]] = False
 
-    return nu[done | (gnorm <= tol.residual)]
-
-
-def _dedupe_xy(points: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """Indices of the (n, 3) rows kept when rows of one owner within
-    Euclidean ``MERGE_RADIUS`` in plane coordinates are merged: owner by owner
-    (ascending), in a deterministic lexicographic order."""
-    xy = batch_xy(points)
-    keep, reps_xy, current = [], [], None
-    order = np.lexsort((xy[:, 1], xy[:, 0], owner))
-    for k, o, p in zip(order.tolist(), owner[order].tolist(),
-                       xy[order].tolist()):
-        if o != current:
-            current, reps_xy = o, []
-        if all((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 > MERGE_RADIUS ** 2
-               for q in reps_xy):
-            keep.append(k)
-            reps_xy.append(p)
-    return np.array(keep, dtype=int)
+    return nu[gnorm <= tol.residual]
 
 
 def _kind(lo: float, hi: float) -> PointKind:
@@ -208,10 +184,18 @@ def _kind(lo: float, hi: float) -> PointKind:
 def _classified(beta: float, alpha: np.ndarray, roots: np.ndarray,
                 owner: np.ndarray, m: int) -> list:
     """For each field 0..m-1, the converged ``roots`` it owns (``owner``;
-    ``alpha`` one field per row) deduplicated and classified,
-    ordered lexicographically in plane coordinates, or a ``NumericalError``
-    where it owns none."""
-    keep = _dedupe_xy(roots, owner)
+    ``alpha`` one field per row) classified, ordered lexicographically in
+    plane coordinates, those within Euclidean ``MERGE_RADIUS`` there of one
+    kept before them dropped; or a ``NumericalError`` where it owns none."""
+    xy = batch_xy(roots)
+    order = np.lexsort((xy[:, 1], xy[:, 0], owner))
+    keep, kept = [], [[] for _ in range(m)]
+    for k, i, (x, y) in zip(order.tolist(), owner[order].tolist(),
+                            xy[order].tolist()):
+        if all((x - u) ** 2 + (y - v) ** 2 > MERGE_RADIUS ** 2
+               for u, v in kept[i]):
+            keep.append(k)
+            kept[i].append((x, y))
     roots = roots[keep]
     # with no roots every field is refused below; the Hessian is skipped,
     # as its 2 beta overflows near the float maximum, where none converges
@@ -254,7 +238,6 @@ _SPLIT_TOL = 1e-8
 def _lambert_log(d, upper):
     """log y for the roots y of ``y - 1 - log y = d >= 0``: the root
     y <= 1 (W0 branch) where ``upper`` is false, y >= 1 (W-1) where true.
-
     Near the branch point y = 1 the series in p = +-sqrt(2 d) is used as
     it is, since Halley steps there only keep log y to absolute precision;
     elsewhere two Halley steps on ``expm1(eta) - eta = d`` refine it, or
@@ -324,48 +307,52 @@ def _branch_values(beta: float, log_r, t, upper, orders: int = 4):
 
 @functools.cache
 def _sample_grid():
-    """The beta-independent samples, and offsets around 1/beta."""
-    ends = np.geomspace(1e-14, 1e-2, 25)
-    grid = np.concatenate([np.linspace(0.0, 1.0, 201)[1:-1], ends, 1.0 - ends])
-    return _distinct(grid), np.geomspace(1e-12, 0.5, 25)
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of a 1-D float array without NaN: what
-    ``np.unique`` returns, without its first call importing ``numpy.ma``."""
-    a = np.sort(a)
-    return a[np.concatenate([[True], a[1:] != a[:-1]])]
+    """The beta-independent samples and the factors of 1/beta joining them."""
+    ends, near = np.geomspace(1e-14, 1e-2, 25), np.geomspace(1e-12, 0.5, 25)
+    return (np.concatenate([np.linspace(0.0, 1.0, 201)[1:-1], ends,
+                            1.0 - ends]),
+            np.concatenate([[1.0], 1.0 - near, 1.0 + near]))
 
 
 def _samples(beta: float) -> np.ndarray:
-    """Values of ``t`` scanned for sign changes: a uniform grid refined
-    geometrically towards both ends of (0, 1) and towards ``1/beta``, where
-    the branches meet, from both sides, plus ``1/beta`` itself."""
+    """The ``t`` scanned, sorted and distinct (``np.unique`` would import
+    ``numpy.ma``): a uniform grid refined geometrically towards both ends of
+    (0, 1) and from both sides towards ``1/beta``, where branches meet."""
     t, near = _sample_grid()
     centre = 1.0 / beta
     if centre < 1.0:
-        t = _distinct(np.concatenate([t, [centre], centre * (1.0 - near),
-                                      centre * (1.0 + near)]))
-    return t[t < 1.0]
+        t = np.concatenate([t, centre * near])
+    t = np.sort(t[t < 1.0])
+    return t[np.concatenate([[True], t[1:] != t[:-1]])]
 
 
 # The two other components for each index of the largest field component.
 _OTHERS = np.array([[1, 2], [0, 2], [0, 1]])
 _SIDES = np.arange(2)
-_UPPER = _SIDES == 1
 
 
 def _scan(beta: float, log_r, t, orders: int = 4):
-    """F = t + x_i + x_j - 1 and its first ``orders - 1`` derivatives on all
-    four pairs at samples ``t``, where ``log_r[..., :]`` broadcasts against
-    ``t``: shape (orders,) + broadcast shape + (4,); and the branch values
-    (x_i, x_j) they sum, with a trailing axis of 2."""
-    xs = _branch_values(beta, log_r[..., None], t[..., None, None], _UPPER,
-                        orders)[..., _SIDES, _PAIRS]
-    out = xs.sum(axis=-1)
-    out[0] += t[..., None] - 1.0
-    out[1:2] += 1.0
+    """F = t + x_i + x_j - 1 and its first ``orders - 1`` derivatives on the
+    four pairs at ``t``, where the log ratio ``log_r[i]`` of other
+    component i broadcasts against ``t``: shape (orders, 4) + that shape;
+    and the branch values (x_i, x_j) summed, shape (orders, 4, 2) + it.
+    Axes lead, so array operations run over the samples in their loops."""
+    upper = (_SIDES == 1).reshape((2,) + (1,) * np.ndim(log_r))
+    xs = _branch_values(beta, log_r[None], t, upper, orders)[:, _PAIRS,
+                                                              _SIDES]
+    out = xs.sum(axis=2)
+    out[0] += t - 1.0
+    out[1] += 1.0
     return out, xs
+
+
+# Rows of the sample table of ``_reduced_roots``, a column per sample: t,
+# field, log ratios, index among the kept branch values, on each pair the
+# order of the zero it is (2: F'', 1: F', else 0), then F to F''' on each.
+_FIELD, _LOG_R, _INDEX, _ZERO, _F = 1, slice(2, 4), 4, slice(5, 9), 9
+_PAIR_ROWS, _DERIVS = np.arange(4)[:, None], np.arange(3)[:, None]
+_SLOPE, _ENDS = np.array([[0], [4]]), np.array([[[0]], [[1]]])
+_AROUND = np.array([[-1], [1]])
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -375,122 +362,138 @@ def _reduced_roots(beta: float, alphas: np.ndarray):
     points (r, 3), owner the field of each, and errors the
     ``NumericalError`` of each field whose points are dropped (else None).
 
-    The zeros of F'' and then of F' join the samples before F is scanned,
-    so the close roots next to a fold or a cusp are separated without a
-    denser grid.  These split rounds stop a bracket once a correction is
-    at most ``_SPLIT_TOL`` t where |F| > ``_TANGENT_TOL``: a root pair of F
-    that close would need F' to vanish too, and F then moves far less than
-    |F| there, so no pair hides and F keeps the sign of the exact zero.
-    Smaller |F|, a possible A3 or tangential root, refines to rounding.
-    Each root keeps the branch values of the evaluation that found it.  Roots
-    come from sign changes of F between samples, from exact zeros at
-    samples, from zeros of F'' where F is at rounding level (A3 points) and
-    from tangential extrema; a root on a branch point, where a tie in alpha
-    makes two branches meet, shows up in several pairs.  A root with a
-    component below ``INTERIOR_MARGIN`` cannot be represented as a
-    ``SpinDistribution``; rather than drop it, the census of its field
-    fails with a ``NumericalError``.
-
-    The fields' samples are kept in one list sorted by field, then by
-    ``t``; every field starts from the samples of its beta and each round
-    refines the brackets of all fields in one call.  Each root is computed
-    element by element, so it is the same in any batch.
-    """
+    Zeros of F'' and F' join the samples as split points, which separate
+    close roots next to a fold or a cusp.  Three rounds refine: the zeros
+    of F'', of F' in cells without one and of F in cells without either;
+    the zeros of F' in cells split by those of F''; the roots of F next to
+    split points.  A split point is settled where |F| > ``_TANGENT_TOL``
+    once its correction dx is at most ``_SPLIT_TOL`` t (a root pair of F
+    that close would need F' to vanish too, and F moves far less than |F|)
+    or once the next lower derivative settles it by value, |F'| > 2 |F''
+    dx| or |F| > 2 |F' dx|: monotone up to the zero, it keeps its sign.  So
+    F keeps the sign of the exact zero; smaller |F|, a possible A3 or
+    tangential root, refines to rounding.  A census takes about three
+    evaluations (the scan, two in the first round), and each root keeps
+    the branch values of the one that found it.  Roots come from sign
+    changes of F, exact zeros, zeros of F'' where F is at rounding level
+    (A3 points) and tangential extrema; a root on a branch point, where a
+    tie in alpha makes two branches meet, shows up in several pairs.  A
+    root with a component below ``INTERIOR_MARGIN`` fails its field's
+    census.  The samples of all fields are the columns of one table sorted
+    by field, then ``t``, each field ending in a NaN sample; each round
+    refines all their brackets in one call, element by element, so each
+    root is the same in any batch."""
     m, k = len(alphas), alphas.argmax(axis=1)
-    others = _OTHERS[k]
-    rows = np.arange(m)[:, None]
-    log_alpha = np.log(alphas)
-    log_r = log_alpha[rows, others] - log_alpha[rows, k[:, None]]
-    tie = (log_r == 0.0).any(axis=1)
+    others, log_alpha = _OTHERS[k], np.log(alphas)
+    log_r = (log_alpha[np.arange(m)[:, None], others]
+             - log_alpha[np.arange(m), k][:, None])
+    tie = (log_r == 0.0).any()
+    t = _samples(beta)
+    f, x = _scan(beta, log_r.T[:, :, None], t)
+    table = np.full((25, m, len(t) + 1), np.nan)  # NaN samples end fields
+    table[0, :, :-1], table[_FIELD] = t, np.arange(m)[:, None]
+    table[_LOG_R], table[_ZERO] = log_r.T[:, :, None], 0.0
+    table[_INDEX, :, :-1] = np.arange(m * len(t)).reshape(m, -1)
+    table[_F:, :, :-1] = f.reshape(16, m, -1)
+    table = table.reshape(25, -1)
+    kept = [x[0].reshape(4, 2, -1)]  # branch values, by _INDEX
+    roots, pairs = [], []
 
-    def refine(order, j, b):
-        """Zeros of derivative ``order`` of F in (t[j], t[j + 1]) on pairs
-        b, and the scan there: the last evaluation, where every bracket ends."""
-        lr, at = log_r[field[j]], np.arange(len(j))
-        last = np.empty((4, 0, 4)), np.empty((4, 0, 4, 2))
+    def split(order, j, b):
+        """Zeros of derivative ``order[i]`` of F on pair ``b[i]`` after column
+        ``j[i]``: those of F'' and F' join the samples, those of F are roots;
+        the last evaluation, where each bracket ends, joins ``kept``."""
+        nonlocal table
+        log_r, at = table[_LOG_R].take(j, axis=1), np.arange(len(j))
+        orders, pick, flat = 3 + order.any(), order + _DERIVS, b * len(j) + at
+        value = np.zeros((5, len(j)))  # F'''' as 0: Newton steps for F''
+        tol, index = _SPLIT_TOL * (order > 0), sum(a.shape[-1] for a in kept)
+        last = np.empty((4, 4, 0)), np.empty((4, 4, 2, 0))
 
         def fun(x):
             nonlocal last
-            last = _scan(beta, lr, x, min(order + 3, 4))
-            return last[0][order:, at, b]
+            last = _scan(beta, log_r, x, orders)
+            last[0].reshape(orders, -1).take(flat, axis=1, out=value[:orders])
+            return value[pick, at]
 
         def settled(x, size):  # sorts the samples as the zero would
-            return ((size <= _SPLIT_TOL * x)
-                    & (np.abs(last[0][0, at, b]) > _TANGENT_TOL))
-        return _bracketed_halley(fun, t[j], t[j + 1], f[order:order + 2, j, b],
-                                 f[order:order + 2, j + 1, b],
-                                 settled if order else None), *last
+            return (((size <= tol * x) | (np.abs(value[order - 1, at]) > (
+                2.0 * size) * np.abs(value[order, at])))
+                    & (np.abs(value[0]) > _TANGENT_TOL))
+        ends = table[_F + 4 * order + b + _SLOPE, j + _ENDS]
+        root = _bracketed_halley(fun, table[0, j], table[0, j + 1], *ends,
+                                 settled)
+        kept.append(last[1][0])
+        new = np.concatenate([
+            root[None], table[_FIELD:_INDEX, j], index + at[None],
+            order * (b == _PAIR_ROWS), last[0][:3].reshape(12, -1)])
+        n = np.count_nonzero(order)  # the split points come first
+        roots.append(new[:_INDEX + 1, n:])
+        pairs.append(b[n:])
+        if n:
+            table = np.concatenate([table[:_F + 12], new[:, :n]], axis=1)
+            table = table[:, np.lexsort((table[0], table[_FIELD]))]
 
-    t = _samples(beta)
-    f, x = _scan(beta, log_r[:, None], t)
-    f, x = f.reshape(4, -1, 4), x[0].reshape(-1, 4, 2)  # x: branch values
-    field = np.repeat(np.arange(m), len(t))
-    t = np.concatenate([t] * m)
-    inflection = np.zeros((len(t), 4), dtype=bool)  # F'' zero of pair b
-    for order in (2, 1):
-        # at a tie F', F'' jump where the branches meet (t = 1/beta): no
-        # zero; neither is a change from one field's samples to the next
-        cut = (t == 1.0 / beta) & tie[field]
-        cut = (cut[:-1] | cut[1:]) | (field[:-1] != field[1:])
-        k_new, b_new = np.nonzero((f[order, :-1] * f[order, 1:] < 0.0)
-                                  & ~cut[:, None])
-        t_new, f_new, x_new = refine(order, k_new, b_new)
-        n = len(t)
-        t = np.concatenate([t, t_new])
-        f = np.concatenate([f, f_new], axis=1)
-        x = np.concatenate([x, x_new[0]])
-        field = np.concatenate([field, field[k_new]])
-        rank = np.lexsort((t, field))
-        t, f, x, field = t[rank], f[:, rank], x[rank], field[rank]
-        added = (b_new[:, None] == np.arange(4)) & (order == 2)
-        inflection = np.concatenate([inflection, added])[rank]
-    # after the last round: where the extrema of F sit among the samples
-    e_ext, b_ext = np.argsort(rank)[n:], b_new
+    def changes(f, jumps=False):
+        """Sign changes of rows f between neighbour samples; with ``jumps``,
+        none where F', F'' jump: at t = 1/beta where a tie meets branches."""
+        change = f[:, :-1] * f[:, 1:] < 0.0
+        if jumps and tie:
+            at = (table[0] == 1.0 / beta) & (table[_LOG_R] == 0.0).any(0)
+            change &= ~(at[:-1] | at[1:])
+        return change
 
+    f = table[_F:]
+    inflection = changes(f[8:12], True)
+    extremum = changes(f[4:8], True) & ~inflection.any(0)
+    zero = f[:4] == 0.0
+    b, j = np.nonzero(np.concatenate([inflection, extremum, changes(f[:4]) & ~(
+        zero[:, :-1] | zero[:, 1:] | (inflection | extremum).any(0))]))
+    split(2 - b // 4, j, b % 4)
+    inflection = (table[_ZERO] == 2.0).any(0)
+    b, j = np.nonzero(changes(table[_F + 4:_F + 8], True)
+                      & (inflection[:-1] | inflection[1:]))
+    split(np.ones_like(j), j, b)
     # F within the rounding unit of ``_bracketed_halley`` at a zero of F''
     # is the triple root of an A3 point: a root, like an exact zero, and
     # the brackets on either side of it are left alone
-    zero = (f[0] == 0.0) | (inflection & (np.abs(f[0]) <= _EPS))
-    k_root, b_root = np.nonzero((f[0, :-1] * f[0, 1:] < 0.0)
-                                & ~(zero[:-1] | zero[1:])
-                                & (field[:-1] == field[1:])[:, None])
-    t_root, _, x_root = refine(0, k_root, b_root)
-    f = f[0]
-    k_zero, b_zero = np.nonzero(zero)
+    f, order = table[_F:_F + 4], table[_ZERO]
+    zero = (f == 0.0) | ((order == 2.0) & (np.abs(f) <= _EPS))
+    new = (order != 0.0).any(0)
+    b, j = np.nonzero(changes(f) & ~(zero[:, :-1] | zero[:, 1:])
+                      & (new[:-1] | new[1:]))
+    split(np.zeros_like(j), j, b)
+    b_zero, k_zero = np.nonzero(zero)
     # an extremum within _TANGENT_TOL of zero with no sign change on
     # either side touches zero: a double root at a fold
-    fe = f[e_ext, b_ext]
+    b_ext, e_ext = np.nonzero(order == 1.0)
+    fe = f[b_ext, e_ext]
     touch = ((np.abs(fe) <= _TANGENT_TOL)
-             & (f[e_ext - 1, b_ext] * fe > 0.0)
-             & (f[e_ext + 1, b_ext] * fe > 0.0))
-    e_ext, b_ext = e_ext[touch], b_ext[touch]
-    owner = field[np.concatenate([k_root, k_zero, e_ext])]
-    t_all = np.concatenate([t_root, t[k_zero], t[e_ext]])
-    x = np.concatenate([x_root[0, np.arange(len(b_root)), b_root],
-                        x[k_zero, b_zero], x[e_ext, b_ext]])
-    nu = np.empty((len(t_all), 3))
-    at = np.arange(len(t_all))
-    nu[at, k[owner]] = t_all
-    nu[at[:, None], others[owner]] = x
+             & (f[b_ext, e_ext + _AROUND] * fe > 0.0).all(0))
+    cols = np.concatenate([k_zero, e_ext[touch]])
+    found = np.concatenate(roots + [table[:_INDEX + 1, cols]], axis=1)
+    pairs = np.concatenate(pairs + [b_zero, b_ext[touch]])
+    owner, rows = found[_FIELD].astype(int), np.arange(found.shape[1])
+    nu = np.empty((len(rows), 3))
+    nu[rows, k[owner]] = found[0]
+    nu[rows[:, None], others[owner]] = np.concatenate(kept, axis=2)[
+        pairs, :, found[_INDEX].astype(int)]
     nu /= nu.sum(axis=1, keepdims=True)
-    lost = nu.min(axis=1) < INTERIOR_MARGIN
-    errors = [None] * m
-    for i in set(owner[lost].tolist()):
-        out = nu[lost & (owner == i)]
-        errors[i] = NumericalError(
-            f"{len(out)} stationary point(s) lie outside the "
-            f"representable interior: smallest component "
-            f"{float(out.min())!r} < {INTERIOR_MARGIN!r}")
-    keep = np.array([errors[i] is None for i in owner.tolist()], dtype=bool)
+    lost = np.bincount(owner[nu.min(axis=1) < INTERIOR_MARGIN], minlength=m)
+    errors = [NumericalError(
+        f"{n} stationary point(s) lie outside the representable interior: "
+        f"smallest component {float(nu[owner == i].min())!r} < "
+        f"{INTERIOR_MARGIN!r}") if n else None
+        for i, n in enumerate(lost.tolist())]
+    keep = lost[owner] == 0
     return nu[keep], owner[keep], errors
 
 
 def _polish(beta: float, alpha: np.ndarray, nu: np.ndarray,
             tol: ToleranceConfig):
-    """Up to four Newton steps on the local gradient, each kept only where it
-    lowers the gradient norm, under the field ``alpha`` of each row.
-    Returns the rows and where they meet ``tol.residual``.  All three
-    components are updated, so none is recomputed from the other two."""
+    """Up to four Newton steps on the local gradient under the field
+    ``alpha`` of each row, each kept where it lowers the gradient norm: the
+    rows, all three components updated, and where they meet the residual."""
     nu = nu.copy()
     gnorm = np.linalg.norm(batch_gradient(beta, alpha, nu), axis=-1)
     for _ in range(4):
@@ -561,9 +564,8 @@ def _census_batch(params: list, tol: ToleranceConfig) -> list:
 
 def find_stationary_points(params: ModelParams,
                            tol: ToleranceConfig = DEFAULT_TOL) -> list:
-    """All stationary points, as the roots of the one-variable reduction
-    polished to ``tol.residual``, deduplicated and classified, ordered
-    lexicographically in plane coordinates."""
+    """All stationary points of the census, deduplicated and classified,
+    ordered lexicographically in plane coordinates."""
     return list(census(params, tol).points)
 
 
@@ -577,10 +579,9 @@ def census(params: ModelParams,
 def censuses(beta: float, alphas,
              tol: ToleranceConfig = DEFAULT_TOL) -> tuple:
     """The census of each field of ``alphas`` (``AprioriMeasure``) at one
-    ``beta``, solved together: one scan and one refinement per round for
-    the whole batch.  Each census is the one ``census`` gives for its field
-    alone, bit for bit.  Raises the error of the first field, in the order
-    given, whose census fails."""
+    ``beta``, solved together: one scan and one call per round for the
+    batch, each census bit for bit the one ``census`` gives for its field
+    alone.  Raises the error of the first field, in order, that fails."""
     params = [ModelParams(beta, a) for a in alphas]
     return tuple(_checked(r) for r in _census_batch(params, tol))
 
@@ -588,12 +589,11 @@ def censuses(beta: float, alphas,
 def brute_force_global_min(params: ModelParams, grid_density: int = 200,
                            tol: ToleranceConfig = DEFAULT_TOL) -> SpinDistribution:
     """Grid-scan oracle for the global minimizer: argmin of the free energy
-    over a dense barycentric lattice, refined by ``_polish``.
-
-    Next to an edge the polish converges only from within a factor of
-    about e of the small component, which can be finer than the lattice;
-    the argmin is then taken again over a local lattice a quarter as
-    wide, centred on the best node, until the polish converges."""
+    over a dense barycentric lattice, refined by ``_polish``.  Next to an
+    edge the polish converges only from within a factor of about e of the
+    small component, which can be finer than the lattice; the argmin is
+    then taken again over a local lattice a quarter as wide, centred on the
+    best node, until the polish converges."""
     if grid_density < 100:
         raise DomainError(f"grid_density must be >= 100, got {grid_density}")
     beta, alpha = params.beta, params.alpha.array

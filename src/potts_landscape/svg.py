@@ -38,25 +38,22 @@ class SvgCanvas:
 
     def _polylines(self, lines, color, width, dashed=False):
         """One <polyline> through each (k, 2) point array of ``lines``, a
-        list or an (n, k, 2) array; all points are mapped in one pass, and
-        each line of an array is formatted by one %-format."""
+        list or an (n, k, 2) array: all points are mapped in one pass and
+        formatted by one %-format, one line of it per polyline."""
         if not len(lines):
             return
         dash = ' stroke-dasharray="6 4"' if dashed else ""
         head = (f'<polyline fill="none" stroke="{color}" '
                 f'stroke-width="{width}"{dash} points="')
         if isinstance(lines, np.ndarray):
-            line = head + " ".join(["%.2f,%.2f"] * lines.shape[1]) + '"/>'
-            xy = np.stack([self._tx(lines[..., 0]), self._ty(lines[..., 1])],
-                          axis=-1).reshape(len(lines), -1)
-            self._parts.extend(map(line.__mod__, map(tuple, xy.tolist())))
-            return
-        pts = np.concatenate(lines)
-        xy = [f"{x:.2f},{y:.2f}" for x, y in zip(self._tx(pts[:, 0]).tolist(),
-                                                self._ty(pts[:, 1]).tolist())]
-        ends = np.cumsum([len(line) for line in lines]).tolist()
-        self._parts.extend(f'{head}{" ".join(xy[a:b])}"/>'
-                           for a, b in zip([0] + ends, ends))
+            sizes, pts = [lines.shape[1]] * len(lines), lines.reshape(-1, 2)
+        else:
+            sizes, pts = list(map(len, lines)), np.concatenate(lines)
+        line = {k: head + " ".join(["%.2f,%.2f"] * k) + '"/>'
+                for k in set(sizes)}
+        xy = np.stack([self._tx(pts[:, 0]), self._ty(pts[:, 1])], axis=-1)
+        self._parts.append("\n".join(map(line.__getitem__, sizes))
+                           % tuple(xy.ravel().tolist()))
 
     def polyline(self, points, color="#1a1a1a", width=1.2, dashed=False):
         pts = np.asarray(points, dtype=float)

@@ -593,6 +593,24 @@ class TestCoexistenceCurve:
                        and np.abs(p.nu.array - nu).max() <= 1e-6
                        for p in cens.points), d
 
+    @pytest.mark.parametrize("beta", [2.58, 2.6])
+    def test_cusp_point_stays_near_its_seed(self, beta):
+        # from 30 starts within 2e-3 of the curve's cusp, ``_cusp_point``
+        # finds that A3 point or fails; plain Newton alone reaches the
+        # on-axis cusp (5/13, 5/13, 3/13) from some of them
+        curve = pl.coexistence_curve(beta, origin=pl.triple_point(beta))
+        cusp = curve.points[-1].minimizers[0].array
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            d = 2e-3 * math.sqrt(rng.uniform()) * np.array(
+                [np.cos(angle), np.sin(angle)])
+            try:
+                nu = mw._cusp_point(beta, cusp + [d[0], d[1], -d[0] - d[1]])
+            except pl.NumericalError:
+                continue
+            assert np.abs(nu - cusp).max() <= 1e-12, (d, nu)
+
     def test_hexagon_regime_ends_at_mirrored_triple_point(self):
         # the curve runs from the triple point to the same triple point
         # permuted onto the next symmetry axis

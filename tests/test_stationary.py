@@ -362,14 +362,23 @@ class TestRefinement:
         cases = self._sweep(rng)
         for beta, a in cases:
             pl.census(pl.ModelParams(beta, pl.AprioriMeasure.from_array(a)))
-        assert calls[0] / len(cases) <= 7.0
+        assert calls[0] / len(cases) <= 3.5
         assert max(rounds) <= 12
-        # a split point of the F'' round is mostly settled where it starts
-        assert np.mean(rounds[0::3]) <= 1.5, np.mean(rounds[0::3])
-        # rounds run F'', F', F: at zero field the F'' and F' brackets next
-        # to the branch point t = 1/beta are jumps, not zeros, and are skipped
+        # rounds run: the F'' zeros, the F' zeros and the F roots in the
+        # cells without a split point; the F' zeros in the cells the F''
+        # zeros split; the F roots next to split points.  A split point
+        # mostly settles where it starts and an F root takes two
+        # evaluations, so the first round takes about two and the others
+        # are mostly empty
+        assert np.mean(rounds[0::3]) <= 2.3, np.mean(rounds[0::3])
+        assert np.mean(rounds[1::3]) <= 0.1, np.mean(rounds[1::3])
+        assert np.mean(rounds[2::3]) <= 0.2, np.mean(rounds[2::3])
+        # at zero field the F'' and F' brackets next to the branch point
+        # t = 1/beta are jumps, not zeros, and are skipped: refined, they
+        # would bisect towards the jump
         zero_field = rounds[-3 * 3:]
-        assert max(zero_field[0::3] + zero_field[1::3]) <= 3, zero_field
+        assert max(zero_field) <= 7, zero_field
+        assert max(zero_field[1::3] + zero_field[2::3]) == 0, zero_field
 
     def test_work_per_round_in_a_batch(self, rng, monkeypatch):
         """A batch runs each round once for all its fields, and a round
