@@ -34,13 +34,12 @@ SQRT3 = math.sqrt(3.0)
 _POSITIVE_FLAGS = ("beta", "beta_max", "extent", "step", "tol")
 
 # Integer size flags are bounded so that no input asks for more memory than
-# this, at 1 KiB per output record and 64 bytes per labelled pixel.  A
-# subcommand holds its whole output before writing it: slice, surface,
-# potential and maxwell as numpy columns, and the writers hold the text of
-# a value only while its rows are written, or for the whole write when it
-# repeats (with all values distinct, 150-250 bytes a record for the first
-# three and 400-500 for maxwell, its 24 float columns); census and
-# critical as a few record dicts.
+# this, at 1 KiB per output record and 64 bytes per labelled pixel.  Each
+# subcommand holds its whole output before writing: census and critical as
+# a few record dicts, the rest as numpy columns, maxwell's segment as the
+# solver's arrays (2^20 samples: max RSS 424 MB, CPython 3.11, x86-64).
+# The writers hold a value's text while its rows are written, or to the end
+# if it repeats: 150-250 bytes a record, 400-500 for maxwell, if distinct.
 MEMORY_BUDGET = 1 << 30
 _RECORD_BYTES = 1 << 10
 _PIXEL_BYTES = 64
@@ -334,14 +333,16 @@ def cmd_critical(args) -> int:
 # maxwell
 # ---------------------------------------------------------------------------
 
-def _maxwell_section(beta, section, alpha, depth, minimizers):
+def _maxwell_section(beta, section, alpha, depth, minimizers, swap=False):
     """Columns of one section's m records: fields ``alpha`` (m, 3), depths
-    (m,) and ``minimizers`` (m, k, 3), the k equal-depth minimizers of
-    each record."""
+    (m,) and the k equal-depth ``minimizers`` (m, k, 3) of each record,
+    both mirrored in their first two components where ``swap`` is set."""
     alpha = np.asarray(alpha, dtype=float).reshape(-1, 3)
     m = len(alpha)
     k = len(minimizers[0]) if m else 0
     minimizers = np.asarray(minimizers, dtype=float).reshape(m, k, 3)
+    if swap:
+        alpha, minimizers = alpha[:, [1, 0, 2]], minimizers[..., [1, 0, 2]]
     uv, xy = batch_uv(alpha), batch_xy(alpha)
     columns = {
         "beta": np.full(m, beta), "section": np.full(m, section),
@@ -357,22 +358,12 @@ def _maxwell_section(beta, section, alpha, depth, minimizers):
     return columns
 
 
-def _points_section(beta, section, points, swap=False):
-    """Columns of a section of ``CoexistencePoint``s, read straight into
-    arrays (no array per point: a section can hold a million); ``swap``
-    mirrors fields and minimizers in their first two components."""
-    m = len(points)
-    k = len(points[0].minimizers) if m else 0
-    alpha = np.fromiter((v for p in points
-                         for v in (p.alpha.a1, p.alpha.a2, p.alpha.a3)),
-                        float, 3 * m).reshape(m, 3)
-    minimizers = np.fromiter((v for p in points for q in p.minimizers
-                              for v in (q.v1, q.v2, q.v3)),
-                             float, 3 * k * m).reshape(m, k, 3)
-    if swap:
-        alpha, minimizers = _swap12(alpha), _swap12(minimizers)
-    return _maxwell_section(beta, section, alpha, [p.depth for p in points],
-                            minimizers)
+def _point_arrays(points):
+    """``_maxwell_section``'s fields, depths and minimizers of the triple
+    point or the curve: a few ``CoexistencePoint``s, tens at most."""
+    return (np.array([p.alpha.array for p in points]),
+            [p.depth for p in points],
+            np.array([[q.array for q in p.minimizers] for p in points]))
 
 
 def _maxwell_table(sections):
@@ -391,25 +382,23 @@ def _maxwell_table(sections):
     return export.Table(table)
 
 
-def _swap12(arr):
-    return np.asarray(arr)[..., [1, 0, 2]]
-
-
 def _maxwell_data(beta, step, segment_samples, tol):
     """All coexistence constructs at one inverse temperature: the records
     as a ``Table`` and the triple point (None outside (18/7, 4 log 2))."""
     segment = symmetric_segment(beta, tol=tol)  # empty for beta <= 2
     triple = segment.triple
-    sections = [_points_section(
-        beta, "segment",
-        track_segment_pair(segment, n=segment_samples, tol=tol))]
+    pair = track_segment_pair(segment, n=segment_samples, tol=tol)
+    sections = [_maxwell_section(beta, "segment", pair.fields, pair.depths,
+                                 pair.pairs)]
 
     if triple is not None:
-        sections.append(_points_section(beta, "triple", [triple]))
+        sections.append(_maxwell_section(beta, "triple",
+                                         *_point_arrays([triple])))
         curve = coexistence_curve(beta, step=step, tol=tol, origin=triple)
-        sections.append(_points_section(beta, "curve", curve.points))
-        sections.append(_points_section(beta, "curve_mirror", curve.points,
-                                        swap=True))
+        arrays = _point_arrays(curve.points)
+        sections.append(_maxwell_section(beta, "curve", *arrays))
+        sections.append(_maxwell_section(beta, "curve_mirror", *arrays,
+                                         swap=True))
 
     if beta >= BETA_ELLIS_WANG:
         glob = beyond_ellis_wang_segment(beta, tol=tol

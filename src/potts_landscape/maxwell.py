@@ -547,8 +547,16 @@ def beyond_ellis_wang_segment(beta: float,
                                   uniform_census=cens)
 
 
+class SegmentPair(NamedTuple):
+    """The mirror pair along an axis segment, one row per sample."""
+
+    fields: np.ndarray  # (n, 3)
+    pairs: np.ndarray   # (n, 2, 3): the member with x > 0, then its mirror
+    depths: np.ndarray  # (n,): their common free-energy value
+
+
 def track_segment_pair(segment: AxisSegment, n: int = 40,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> list:
+                       tol: ToleranceConfig = DEFAULT_TOL) -> SegmentPair:
     """Sample the axis segment and attach the mirror pair of global
     minimizers to each sample: the pair member whose field's y
     (``_segment_curve``) is the sample's.  In s = nu2, y rises strictly from
@@ -556,10 +564,12 @@ def track_segment_pair(segment: AxisSegment, n: int = 40,
     to 18/7, the triple point's member up to 4 log 2, the zero-field state
     beyond; past it y turns back.  The curve on a grid over that bracket
     brackets every sample, and Newton steps from the cubic Hermite start in
-    its cell (``_bracketed_halley``) solve all samples at once.  The census
-    at the middle sample checks the member there."""
+    its cell (``_bracketed_halley``) solve all samples at once.  Returns
+    them as arrays, none for an empty segment.  ``NumericalError`` where a
+    field or member fails the checks of ``AprioriMeasure`` and
+    ``SpinDistribution`` or the census at the middle sample lacks it."""
     if segment.is_empty:
-        return []
+        return SegmentPair(np.empty((0, 3)), np.empty((0, 2, 3)), np.empty(0))
     beta = segment.beta
     ys = segment.sample_ys(n)
     if segment.y_hi == 0.0:
@@ -596,12 +606,15 @@ def track_segment_pair(segment: AxisSegment, n: int = 40,
         nu1, nu3 = _branch_values(beta, log_r, s, np.array([[True], [False]]),
                                   1)[0]
     members = np.stack([nu1, s, nu3], axis=-1)
-    smallest = float(members.min())
-    if smallest < INTERIOR_MARGIN:
-        raise NumericalError(f"the segment's pair members leave the "
-                             f"representable interior: smallest component "
-                             f"{smallest!r} < {INTERIOR_MARGIN!r}, "
-                             f"beta = {beta}")
+    # AprioriMeasure's and SpinDistribution's checks, row by row; NaN fails
+    rows = np.stack([alphas, members], axis=1)
+    ok = ((np.abs(rows.sum(axis=-1) - 1.0) <= 1e-12)
+          & (rows.min(axis=-1) >= INTERIOR_MARGIN)).all(axis=-1)
+    if not ok.all():
+        i = int(ok.argmin())
+        raise NumericalError(f"the segment's pair member or its field at y ="
+                             f" {float(ys[i])!r} leaves the representable "
+                             f"interior: {rows[i].tolist()}, beta = {beta}")
 
     k = n // 2
     _, asym = axis_minima(beta, float(ys[k]), tol)
@@ -612,7 +625,4 @@ def track_segment_pair(segment: AxisSegment, n: int = 40,
 
     pairs = np.stack([members, members[:, list(_SWAP12)]], axis=1)
     depths = batch_free_energy(beta, alphas[:, None], pairs).mean(axis=1)
-    return [CoexistencePoint(beta, AprioriMeasure.from_array(a),
-                             tuple(map(SpinDistribution.from_array, p)),
-                             float(d))
-            for a, p, d in zip(alphas, pairs, depths)]
+    return SegmentPair(alphas, pairs, depths)

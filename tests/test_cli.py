@@ -725,11 +725,12 @@ class TestMaxwellCommand:
              "--out", str(out)])
         _, recs = read_csv(str(out))
         pts = track_segment_pair(pl.symmetric_segment(2.4), n=6)
-        assert len(recs) == len(pts)
-        for rec, pt in zip(recs, pts):
-            assert rec["alpha1"] == pt.alpha.a1   # exact float equality
-            assert rec["depth"] == pt.depth
-            assert rec["m1_nu1"] == pt.minimizers[0].v1
+        assert len(recs) == len(pts.fields)
+        for rec, alpha, pair, depth in zip(recs, pts.fields, pts.pairs,
+                                           pts.depths):
+            assert rec["alpha1"] == alpha[0]   # exact float equality
+            assert rec["depth"] == depth
+            assert rec["m1_nu1"] == pair[0][0]
 
     def test_svg_has_dashed_maxwell(self, tmp_path):
         out = tmp_path / "maxwell.svg"

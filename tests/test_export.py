@@ -757,8 +757,10 @@ def maxwell_records_rows(beta, step=0.005, segment_samples=40,
         segment = mw._segment_to_triple(tp)
     else:
         segment = mw.symmetric_segment(beta, tol=tol)
-    records = point_rows("segment", mw.track_segment_pair(
-        segment, n=segment_samples, tol=tol))
+    pair = mw.track_segment_pair(segment, n=segment_samples, tol=tol)
+    records = [maxwell_record(beta, "segment", k, alpha, float(depth), list(p))
+               for k, (alpha, depth, p) in enumerate(zip(
+                   pair.fields, pair.depths, pair.pairs))]
     if tp is not None:
         records += point_rows("triple", [tp])
         curve = mw.coexistence_curve(beta, step=step, tol=tol, origin=tp)

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -89,11 +90,13 @@ class TestSymmetricSegment:
 
     def test_segment_pair_tracking(self):
         pts = track_segment_pair(pl.symmetric_segment(2.4), n=10)
-        assert len(pts) == 10
-        for pt in pts:
-            params = pl.ModelParams(2.4, pt.alpha)
-            va = pl.free_energy(params, pt.minimizers[0])
-            vb = pl.free_energy(params, pt.minimizers[1])
+        assert len(pts.fields) == 10
+        for alpha, pair in zip(pts.fields, pts.pairs):
+            params = pl.ModelParams(2.4, pl.AprioriMeasure.from_array(alpha))
+            va = pl.free_energy(params,
+                                pl.SpinDistribution.from_array(pair[0]))
+            vb = pl.free_energy(params,
+                                pl.SpinDistribution.from_array(pair[1]))
             assert abs(va - vb) <= 1e-12
 
     @pytest.mark.parametrize("beta", [2.2, 2.4, 2.6, 2.7, 2.75, 3.0, 4.0])
@@ -101,16 +104,17 @@ class TestSymmetricSegment:
         # one independent census batch over every sample: its global
         # minimizers are exactly the member and its mirror
         pts = track_segment_pair(pl.symmetric_segment(beta), n=40)
-        assert len(pts) == 40
+        assert len(pts.fields) == 40
         tol = pl.DEFAULT_TOL
-        for pt, cens in zip(pts, pl.censuses(beta, [p.alpha for p in pts])):
+        alphas = [pl.AprioriMeasure.from_array(a) for a in pts.fields]
+        for pair, depth, cens in zip(pts.pairs, pts.depths,
+                                     pl.censuses(beta, alphas)):
             found = np.array([p.nu.array for p in cens.global_minimizers])
-            pair = np.array([m.array for m in pt.minimizers])
             assert len(found) == 2
             assert np.abs(found[np.argsort(found[:, 0])]
                           - pair[np.argsort(pair[:, 0])]).max() <= 1e-9
             for p in cens.global_minimizers:
-                assert abs(p.value - pt.depth) <= tol.depth
+                assert abs(p.value - depth) <= tol.depth
 
     @pytest.mark.parametrize("n", [2, 10, 40, 5000])
     def test_segment_pair_takes_one_census(self, monkeypatch, n):
@@ -121,7 +125,7 @@ class TestSymmetricSegment:
             return _f(beta, alphas)
         monkeypatch.setattr(stationary, "_reduced_roots", counted)
         pts = track_segment_pair(pl.symmetric_segment(2.4), n=n)
-        assert len(pts) == n
+        assert len(pts.fields) == n
         assert fields == [1]
 
     @pytest.mark.parametrize("beta", SEGMENT_BETAS)
@@ -130,8 +134,7 @@ class TestSymmetricSegment:
         the member is stationary in its sample's field."""
         for n in SEGMENT_SAMPLES:
             pts = track_segment_pair(_segment(beta), n=n)
-            alphas = np.array([p.alpha.array for p in pts])
-            pairs = np.array([[m.array for m in p.minimizers] for p in pts])
+            alphas, pairs = pts.fields, pts.pairs
             want = _bisection_s(_segment(beta), n)
             assert np.all(np.abs(pairs[:, 0, 1] - want) <= 1e-13 * want), n
             grad = batch_gradient(beta, alphas[:, None], pairs)
@@ -149,13 +152,42 @@ class TestSymmetricSegment:
         monkeypatch.setattr(mw, "_branch_values", counted)
         for n in SEGMENT_SAMPLES:
             calls.clear()
-            assert len(track_segment_pair(_segment(beta), n=n)) == n
+            assert len(track_segment_pair(_segment(beta), n=n).fields) == n
             assert len(calls) <= 12, (n, calls)
 
     def test_segment_pair_refused_without_census_minimum(self, monkeypatch):
         monkeypatch.setattr(mw, "axis_minima", lambda *args: ([], []))
         with pytest.raises(pl.NumericalError, match="no census minimum"):
             track_segment_pair(pl.symmetric_segment(2.4), n=10)
+
+    def test_segment_pair_off_the_simplex_is_numerical(self, monkeypatch):
+        """A computed member whose components do not sum to 1 within 1e-12
+        is a numerical failure that names the sample's y, not bad input."""
+        segment = pl.symmetric_segment(2.4)
+
+        def pushed(*args, _f=mw._branch_values):
+            out = _f(*args)
+            if np.ndim(args[3]) == 2:  # the members' nu1 and nu3
+                out[0, 1] += 1e-11
+            return out
+        monkeypatch.setattr(mw, "_branch_values", pushed)
+        with pytest.raises(pl.NumericalError, match=r"at y = -0\.49"):
+            track_segment_pair(segment, n=10)
+
+    def test_segment_pair_memory_per_sample(self):
+        """The samples come as three arrays, 80 bytes a sample: what the
+        call leaves allocated, with its result alive, stays below 100."""
+        segment = pl.symmetric_segment(2.4)
+        track_segment_pair(segment, n=16)  # caches filled before tracing
+        n = 2 ** 14
+        tracemalloc.start()
+        try:
+            pts = track_segment_pair(segment, n=n)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / n < 100, held / n
+        assert len(pts.depths) == n
 
 
 class TestAxisStructure:
