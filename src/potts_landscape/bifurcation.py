@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, RemovableSingularityError
 from .model import (Permutation, PERMUTATIONS, _interior_lattice,
-                    batch_catastrophe, batch_pq)
+                    _row_sum, batch_catastrophe, batch_pq)
 
 BETA_BEAK = 8.0 / 3.0
 # Surface sheet values above this, next to the corners, are skipped.
@@ -271,7 +271,7 @@ def surface_patches(grid_density: int = 64):
         nu = np.vstack([nu, np.full((1, 3), 1.0 / 3.0)])
 
     inv = 1.0 / nu
-    s1 = inv.sum(axis=-1)
+    s1 = _row_sum(inv)
     s2 = (inv[:, 0] * inv[:, 1] + inv[:, 0] * inv[:, 2]
           + inv[:, 1] * inv[:, 2])
     disc = np.maximum(s1 * s1 / 9.0 - s2 / 3.0, 0.0)

@@ -25,8 +25,8 @@ from .maxwell import (BETA_ELLIS_WANG, beyond_ellis_wang_segment,
                       track_segment_pair)
 from .model import (DEFAULT_TOL, AprioriMeasure, CoordPQ, ModelParams,
                     ToleranceConfig, _check_beta, _interior_lattice,
-                    batch_free_energy, batch_from_xy, batch_pq, batch_uv,
-                    batch_xy, from_pq, from_uv)
+                    _row_min, batch_free_energy, batch_from_xy, batch_pq,
+                    batch_uv, batch_xy, from_pq, from_uv)
 from .stationary import MinimaCensus, PointKind, _census_batch, census
 
 SQRT3 = math.sqrt(3.0)
@@ -449,7 +449,7 @@ def _potential_grid(beta, alpha, n):
     ys = np.linspace(-0.5, 1.0, n)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     nu = batch_from_xy(np.stack([gx, gy], axis=-1))
-    inside = nu.min(axis=-1) > 1e-9
+    inside = _row_min(nu) > 1e-9
     values = np.full(gx.shape, np.nan)
     values[inside] = batch_free_energy(beta, alpha.array, nu[inside])
     return xs, ys, nu, values

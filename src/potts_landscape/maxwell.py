@@ -9,22 +9,14 @@ three equations in the four local coordinates of the pair, with chi the
 catastrophe map.  On the symmetry axis with the third field component
 suppressed the coexistence set is a straight segment.  Its mirror pair is
 one explicit curve: the member (nu1, s, 1 - nu1 - s) with nu1 the W-1
-partner of s, nu1 e^{-beta nu1} = s e^{-beta s}, solved for each sample's
-field by Newton steps in s (Corless et al. 1996).  Its upper endpoint is
-known in closed form up to the butterfly temperature and is the triple
-point beyond it: the first root along the curve of the depth gap between
-the member and the symmetric minimum mu = (m, m, 1 - 2m) of its field,
-one bracketed scalar root (``rootfind``).  Off the axis the coexistence
-curve is continued from the triple point on the field-free system,
-sweeping one state coordinate per step (the dominant tangent component,
-which is the first component of the symmetric-side minimizer wherever
-that parametrization is well posed).  One evaluation of the system per
-corrector trial (``_pair_residual``) gives its residual and Jacobian and
-both minimizers' fields and depths; the accepted evaluation's Jacobian
-gives the next tangent, and its field and depth are the emitted point's.
-The initial-value-problem form of the curve is used only as a tangent
-cross-check in the tests.  The curve
-leaves on the side the S3 symmetry picks and ends on the exact A3 point,
+partner of s, nu1 e^{-beta nu1} = s e^{-beta s} (Corless et al. 1996).  Its
+upper end is in closed form up to the butterfly temperature, and beyond it
+the triple point, where the member and the symmetric minimum (m, m, 1 - 2m)
+of its field are equally deep: one Newton solve in (m, s).  Off the axis
+the coexistence curve is continued from the triple point on the field-free
+system, one evaluation (``_pair_residual``: residual, Jacobian, both fields
+and depths) per corrector trial, sweeping the dominant tangent coordinate.
+It leaves on the side the S3 symmetry picks and ends on the exact A3 point,
 where the pair merges at a cusp, or on the triple point mirrored onto the
 next axis (Ellis & Wang 1990).
 """
@@ -46,7 +38,8 @@ from .model import (CLAMP_MARGIN, COEXISTENCE_DEPTH, DEFAULT_TOL,
                     alpha_from_xy, batch_catastrophe, batch_free_energy,
                     batch_from_xy, batch_stationary_value, batch_xy,
                     hessian_eigenvalues)
-from .rootfind import _bracketed_halley, bracketed_root
+from .rootfind import (_EPS, _bracketed_halley, _bracketed_newton,
+                       bracketed_root)
 from .stationary import MinimaCensus, _branch_values, census
 
 _SWAP12 = (1, 0, 2)
@@ -59,6 +52,7 @@ _CURVE_MAX_STEPS = 5000  # points of ``coexistence_curve``
 # pair gap below which ``coexistence_curve`` closes on the cusp: nearer to
 # it the residual no longer pins the positions to within their gap
 _FOLD_GAP = 1e-2
+_GAP_ROUNDING = 4.0 * float(np.finfo(np.longdouble).eps)  # g's sum's rounding
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,31 +214,33 @@ def _axis_split(points):
     return sym, asym
 
 
-def _depth_gap(beta: float, s, nu1, y, dy, m_cell=None):
-    """g = f(mu) - f(nu), summed by components to halve its rounding, for
-    the pair member nu = (nu1, s, 1 - nu1 - s) and the symmetric minimizer
-    mu = (m, m, 1 - 2m) at nu's axis field (y-coordinate y); dg/ds =
-    (mu3 - nu3) dL/ds, L = log(alpha1/alpha3), by the envelope theorem; mu
-    and nu.  m solves log(m/(1 - 2m)) - 3 beta m + beta = L, whose left side
-    increases on [1/3, 1/2) for beta < 3: in ``m_cell``, else where
-    log(m/(1 - 2m)) = L + beta (3m - 1) lies in [L, L + beta/2]."""
+def _depth_gap(beta: float, s, nu1, y, dy, m=None):
+    """g = f(mu) - f(nu) for the pair member nu = (nu1, s, 1 - nu1 - s) and
+    the symmetric minimizer mu = (m, m, 1 - 2m) at nu's axis field
+    (y-coordinate y); dg/ds = (mu3 - nu3) dL/ds, L = log(alpha1/alpha3), by
+    the envelope theorem; mu and nu.  m solves log(m/(1 - 2m)) - 3 beta m +
+    beta = L, whose left side increases on [1/3, 1/2) for beta < 3, by
+    Newton steps from a given m, or from the bound where log(m/(1 - 2m)) =
+    L + beta/2, until one is within 1e3 rounding units.  g is summed by
+    components in extended precision where numpy has it: in doubles its
+    rounding, 1e-16, moves the root s by 1e-11 at 2.58."""
     log_ratio = np.log((1.0 - y) / (1.0 + 2.0 * y))
-
-    def stationarity(m):
-        return (np.log(m / (1.0 - 2.0 * m)) - 3.0 * beta * m + beta
-                - log_ratio, 1.0 / m + 2.0 / (1.0 - 2.0 * m) - 3.0 * beta)
-    if m_cell is None:
-        e = np.exp([log_ratio, log_ratio + 0.5 * beta])
-        m_cell = e / (1.0 + 2.0 * e)
-    f, df = stationarity(np.stack(m_cell))
-    m = _bracketed_halley(stationarity, *m_cell, (f[0], df[0]), (f[1], df[1]))
+    if m is None:  # left side convex on [1/3, 1/2): Newton from above
+        m = 1.0 / (2.0 + np.exp(-0.5 * beta - log_ratio))
+    for _ in range(50):
+        dm = ((np.log(m / (1.0 - 2.0 * m)) - 3.0 * beta * m + beta
+               - log_ratio) / (1.0 / m + 2.0 / (1.0 - 2.0 * m) - 3.0 * beta))
+        m = m - dm
+        if np.all(np.abs(dm) <= 1e3 * _EPS * m):
+            break
     m = np.where(log_ratio == 0.0, 1.0 / 3.0, m)
-    mu = np.stack([m, m, 1.0 - 2.0 * m])
-    nu = np.stack([nu1, s, 1.0 - nu1 - s])
+    m, nu1, s = (np.asarray(v, dtype=np.longdouble) for v in (m, nu1, s))
+    mu, nu = np.stack([m, m, 1 - 2 * m]), np.stack([nu1, s, 1 - nu1 - s])
     d = mu - nu
     g = (d * (-0.5 * beta) * (mu + nu) + mu * np.log(mu)
          - nu * np.log(nu)).sum(axis=0) + d[2] * log_ratio
-    return g, d[2] * -3.0 * dy / ((1.0 - y) * (1.0 + 2.0 * y)), mu, nu
+    dg = d[2].astype(float) * -3.0 * dy / ((1.0 - y) * (1.0 + 2.0 * y))
+    return g.astype(float), dg, mu.astype(float), nu.astype(float)
 
 
 def triple_point(beta: float,
@@ -252,10 +248,12 @@ def triple_point(beta: float,
     """The on-axis point where the mirror pair and the symmetric minimum
     are equally deep, for butterfly < beta < four-phase temperature: the
     first + to - change of the depth gap (``_depth_gap``) along the segment
-    curve on a 64-point cosine grid, refined by ``_bracketed_halley``.  The
-    gap is positive at y = -1/2 and ends at 0 where the pair merges into
-    mu, s = 1/beta, or below 0 at the zero-field member, which the curve
-    reaches first above the crossing temperature."""
+    curve on a 64-point cosine grid, refined in its cell by Newton on (m, s)
+    for L(m) = L(s), g = 0, whose Jacobian is triangular as dg/dm is 0 at
+    the root: steps in m, then one in s (``_bracketed_newton``), until g is
+    within its rounding.  The gap is positive at y = -1/2 and ends at 0
+    where the pair merges into mu, s = 1/beta, or below 0 at the zero-field
+    member, which the curve reaches first above the crossing temperature."""
     beta = float(beta)
     if not BETA_BUTTERFLY < beta < BETA_ELLIS_WANG:
         raise DomainError(
@@ -274,15 +272,17 @@ def triple_point(beta: float,
             f"the depth gap along the segment curve stays at rounding level "
             f"where it turns negative (min {g.min():.1e}), so the triple "
             f"point is not resolved in double precision at beta = {beta}")
-    j = np.argmax((g[:-1] > 0.0) & (g[1:] <= 0.0), keepdims=True)
-    m_cell = mu[0, j + 1], mu[0, j]  # m falls as s rises
+    j = int(np.argmax((g[:-1] > 0.0) & (g[1:] <= 0.0)))
+    pair = [mu[:, j], None]  # mu and nu at the last iterate
 
-    def gap(s):
-        return _depth_gap(beta, s, *_segment_curve(beta, s), m_cell)[:2]
-    s = _bracketed_halley(gap, grid[j], grid[j + 1], (g[j], dg[j]),
-                          (g[j + 1], dg[j + 1]))
-    _, _, mu, nu = _depth_gap(beta, s, *_segment_curve(beta, s), m_cell)
-    return _global_triple(beta, mu[:, 0], nu[:, 0], tol)
+    def gap(s):  # zero within the rounding of L in doubles and of the sum
+        g_s, dg_s, *pair[:] = _depth_gap(beta, s, *_segment_curve(beta, s),
+                                         pair[0][0])
+        noise = _EPS * abs(pair[0][2] - pair[1][2]) + _GAP_ROUNDING
+        return 0.0 if abs(g_s) <= noise else g_s, dg_s
+    _bracketed_newton(gap, *grid[j:j + 2].tolist(),
+                      *zip(g[j:j + 2].tolist(), dg[j:j + 2].tolist()))
+    return _global_triple(beta, *pair, tol)
 
 
 def _global_triple(beta: float, mu: np.ndarray, nu: np.ndarray,
@@ -425,18 +425,17 @@ def coexistence_curve(beta: float, step: float = 0.005,
     the triple point, seeding every solve with the previous solution.
 
     Stepping is predictor-corrector along the solution curve of the
-    field-free system: the curve tangent (nullspace of the 3x4 Jacobian
-    over both minimizers' local coordinates, from the evaluation that
-    accepted the last point) picks the sweep coordinate to
-    freeze per step, which keeps the sweep well-posed where the first
-    component of the symmetric-side minimizer turns around.  It leaves the
-    triple point where the field's x grows: f(nu) - f(swap12 nu) =
-    -(nu1 - nu2) log(a1/a2), so only there is the tracked pair, nu with
-    x > 0, global.  The opening steps are shorter than ``step`` where the
-    triple point's geometry asks for it (see ``h_open``); later steps
-    double back up to ``step``.  A trial fails, and the step halves,
-    where a Newton step does not lower the residual, jumps, hops onto
-    mu == nu or lands on a degenerate minimizer.  Termination:
+    field-free system: the curve tangent (nullspace of the 3x4 Jacobian over
+    both minimizers' local coordinates, from the evaluation that accepted the
+    last point) picks the sweep coordinate to freeze per step, which keeps
+    the sweep well-posed where the first component of the symmetric-side
+    minimizer turns around.  It leaves the triple point where the field's x
+    grows: f(nu) - f(swap12 nu) = -(nu1 - nu2) log(a1/a2), so only there is
+    the tracked pair, nu with x > 0, global.  The opening steps are shorter
+    than ``step`` where the triple point's geometry asks for it (see
+    ``h_open``); later steps double back up to ``step``.  A trial fails, and
+    the step halves, where a Newton step does not lower the residual, jumps,
+    hops onto mu == nu or lands on a degenerate minimizer.  Termination:
 
     - 'fold': the pair merges into a cusp of the bifurcation set.  A step
       that starts with the pair within ``_FOLD_GAP`` of each other ends the

@@ -316,14 +316,23 @@ def apply_permutation(perm: Permutation, point):
 # Free energy and derivatives
 # ---------------------------------------------------------------------------
 
+def _row_sum(a):
+    """Sum over a trailing axis of 3 in numpy's order, without its loop."""
+    return (a[..., 0] + a[..., 1]) + a[..., 2]
+
+
+def _row_min(a):
+    """Minimum over a trailing axis of 3, component by component."""
+    return np.minimum(np.minimum(a[..., 0], a[..., 1]), a[..., 2])
+
+
 def batch_free_energy(beta, alpha, nu) -> np.ndarray:
     """-(beta/2) <nu,nu> + sum nu_i log(nu_i/alpha_i), broadcast over rows."""
     b = np.asarray(beta, dtype=float)[..., None]
     al = np.asarray(alpha, dtype=float)
     n = np.asarray(nu, dtype=float)
-    quad = -0.5 * np.sum(b * n * n, axis=-1)
-    ent = np.sum(n * (np.log(n) - np.log(al)), axis=-1)
-    return quad + ent
+    return (-0.5 * _row_sum(b * n * n)
+            + _row_sum(n * (np.log(n) - np.log(al))))
 
 
 def batch_gradient(beta, alpha, nu) -> np.ndarray:
@@ -377,9 +386,9 @@ def _shifted_terms(beta, nu):
     from underflowing every term."""
     b = np.asarray(beta, dtype=float)[..., None]
     n = np.asarray(nu, dtype=float)
-    shift = n.min(axis=-1, keepdims=True)
+    shift = _row_min(n)[..., None]
     t = n * np.exp(-b * (n - shift))
-    return t, t.sum(axis=-1, keepdims=True), shift
+    return t, _row_sum(t)[..., None], shift
 
 
 def batch_catastrophe(beta, nu) -> np.ndarray:
@@ -405,7 +414,7 @@ def batch_stationary_value(beta, nu) -> np.ndarray:
 def _stationary_value(b, n, total, shift):
     """``batch_stationary_value`` from the row sum and shift of its
     ``_shifted_terms``."""
-    return (0.5 * b * (n * n).sum(axis=-1)
+    return (0.5 * b * _row_sum(n * n)
             + (np.log(total[..., 0]) - b * shift[..., 0]))
 
 

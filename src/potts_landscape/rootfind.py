@@ -1,6 +1,6 @@
 """Bracketed root finding: one safeguarded Halley iteration for all the
 package's bracketed roots, on arrays of brackets (``_bracketed_halley``) or
-for one scalar root (``bracketed_root``)."""
+in float arithmetic on one (``_bracketed_newton``, ``bracketed_root``)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,23 @@ import numpy as np
 
 from .errors import NumericalError
 
-_EPS = 4.0 * np.finfo(float).eps  # the rounding unit of the stopping tests
+_EPS = 4.0 * float(np.finfo(float).eps)  # rounding unit of the stopping tests
+
+
+def _hermite_fraction(h, end_lo, end_hi):
+    """The share u of a bracket of width h where the cubic Hermite
+    interpolant of the ends' values and slopes vanishes: two Newton steps
+    on the cubic from the secant root, outside (0, 1) where they fail."""
+    (f0, d0), (f1, d1) = end_lo, end_hi
+    df0, hd0 = f0 - f1, h * d0
+    c2 = -3.0 * df0 - h * (2.0 * d0 + d1)
+    c3 = 2.0 * df0 + h * (d0 + d1)
+    c2x2, c3x3 = 2.0 * c2, 3.0 * c3
+    u = f0 / df0
+    for _ in range(2):
+        u = u - (((c3 * u + c2) * u + hd0) * u + f0) / (
+            (c3x3 * u + c2x2) * u + hd0)
+    return u
 
 
 def _bracketed_halley(fun, lo, hi, end_lo, end_hi, settled=None):
@@ -26,17 +42,10 @@ def _bracketed_halley(fun, lo, hi, end_lo, end_hi, settled=None):
     call, and every root is the iterate of the last call of ``fun``."""
     if not len(lo):
         return lo
-    (f0, d0), (f1, d1), h = end_lo, end_hi, hi - lo
-    df0, hd0 = f0 - f1, h * d0
-    c2 = -3.0 * df0 - h * (2.0 * d0 + d1)
-    c3 = 2.0 * df0 + h * (d0 + d1)
-    c2x2, c3x3 = 2.0 * c2, 3.0 * c3
-    u = f0 / df0
-    for _ in range(2):
-        u = u - (((c3 * u + c2) * u + hd0) * u + f0) / (
-            (c3x3 * u + c2x2) * u + hd0)
+    h = hi - lo
+    u = _hermite_fraction(h, end_lo, end_hi)
     x = np.where((u > 0.0) & (u < 1.0), lo + u * h, 0.5 * (lo + hi))
-    step, sign_lo = np.abs(h), np.sign(f0)
+    step, sign_lo = np.abs(h), np.sign(end_lo[0])
     for _ in range(100):
         f, df, *d2f = fun(x)
         left = np.sign(f) == sign_lo
@@ -63,10 +72,41 @@ def _bracketed_halley(fun, lo, hi, end_lo, end_hi, settled=None):
     return x
 
 
+def _bracketed_newton(fun, lo: float, hi: float, end_lo, end_hi) -> float:
+    """``_bracketed_halley`` on one bracket of floats for a ``fun`` that
+    returns value and slope: its start, Newton steps, bisections and tests
+    in float arithmetic, root for root, also where numpy divides by 0."""
+    h = hi - lo
+    try:
+        u = _hermite_fraction(h, end_lo, end_hi)
+    except ZeroDivisionError:
+        u = np.nan
+    x = lo + u * h if 0.0 < u < 1.0 else 0.5 * (lo + hi)
+    step, positive = abs(h), end_lo[0] > 0.0
+    for _ in range(100):
+        f, df = fun(x)
+        if f > 0.0 if positive else f < 0.0:
+            lo = x
+        else:
+            hi = x
+        ex = _EPS * x
+        if abs(f) <= abs(ex * df) or hi - lo <= ex:
+            return x
+        dx = f / df if df else np.inf
+        x_dx, size = x - dx, abs(dx)
+        inside, halves = lo <= x_dx <= hi, 2.0 * size <= step
+        if inside and size <= 1e3 * ex and not halves:
+            return x
+        new = x_dx if inside and halves else 0.5 * (lo + hi)
+        step, x = abs(new - x), new
+    fun(x)  # the iteration cap: end on an evaluated iterate all the same
+    return x
+
+
 def bracketed_root(fun, lo: float, hi: float) -> float:
     """The root in [lo, hi] of ``fun``, which returns value and slope at a
-    scalar: an end where the value is exactly zero, else by
-    ``_bracketed_halley``.  Raises NumericalError unless the values at the
+    float: an end where the value is exactly zero, else by
+    ``_bracketed_newton``.  Raises NumericalError unless the values at the
     ends have opposite signs (bracket failure)."""
     end_lo, end_hi = fun(lo), fun(hi)
     if end_lo[0] == 0.0:
@@ -76,5 +116,4 @@ def bracketed_root(fun, lo: float, hi: float) -> float:
     if (end_lo[0] > 0.0) == (end_hi[0] > 0.0):
         raise NumericalError(f"no sign change on bracket [{lo}, {hi}]: "
                              f"f(lo)={end_lo[0]}, f(hi)={end_hi[0]}")
-    return float(_bracketed_halley(lambda x: fun(x[0]), np.array([lo]),
-                                   np.array([hi]), end_lo, end_hi)[0])
+    return float(_bracketed_newton(fun, lo, hi, end_lo, end_hi))

@@ -404,6 +404,8 @@ def _reduced_roots(beta: float, alphas: np.ndarray):
         ``j[i]``: those of F'' and F' join the samples, those of F are roots;
         the last evaluation, where each bracket ends, joins ``kept``."""
         nonlocal table
+        if not len(j):  # as the second and third rounds nearly always are
+            return
         log_r, at = table[_LOG_R].take(j, axis=1), np.arange(len(j))
         orders, pick, flat = 3 + order.any(), order + _DERIVS, b * len(j) + at
         value = np.zeros((5, len(j)))  # F'''' as 0: Newton steps for F''

@@ -8,8 +8,11 @@ from potts_landscape.critical import (_crossing_shape_derivative,
                                       _touch_gap_derivative,
                                       crossing_shape_function, fold_centre_p,
                                       touch_gap_function, triangle_vertex_p)
+import potts_landscape.critical as critical
+import potts_landscape.maxwell as mw
 from potts_landscape.model import batch_free_energy
-from potts_landscape.rootfind import bracketed_root
+from potts_landscape.rootfind import (_bracketed_halley, _bracketed_newton,
+                                      bracketed_root)
 
 AUNIFORM = pl.AprioriMeasure.uniform()
 
@@ -127,3 +130,68 @@ class TestRootfind:
     def test_exact_root_endpoints(self):
         assert bracketed_root(lambda x: (x, 1.0), 0.0, 1.0) == 0.0
         assert bracketed_root(lambda x: (x - 1.0, 1.0), 0.0, 1.0) == 1.0
+
+    @staticmethod
+    def _one_element(fun, lo, hi, end_lo, end_hi):
+        """The root of ``_bracketed_halley`` on the one bracket, a float."""
+        return float(_bracketed_halley(lambda x: fun(x[0]), np.array([lo]),
+                                       np.array([hi]), end_lo, end_hi)[0])
+
+    def test_package_roots_are_the_array_roots(self, monkeypatch):
+        """The scalar roots of ``maxwell`` and ``critical`` from the float
+        iteration are those of the array iteration on one element, bit for
+        bit, on the same brackets."""
+        brackets = []
+
+        def recorded(fun, lo, hi):
+            brackets.append((fun, lo, hi))
+            return bracketed_root(fun, lo, hi)
+        monkeypatch.setattr(mw, "bracketed_root", recorded)
+        monkeypatch.setattr(critical, "bracketed_root", recorded)
+        for beta in np.concatenate([np.linspace(2.0001, 10.0, 150),
+                                    np.geomspace(10.0, 600.0, 30)]).tolist():
+            mw._pair_end(beta, 0, 1.0 / beta)
+            mw._zero_field_end(beta)
+        pl.beta_cross()
+        pl.beta_touch()
+        assert len(brackets) > 300
+        for fun, lo, hi in brackets:
+            end_lo, end_hi = fun(lo), fun(hi)
+            assert end_lo[0] != 0.0 and end_hi[0] != 0.0
+            root = bracketed_root(fun, lo, hi)
+            assert type(root) is float
+            assert root == self._one_element(fun, lo, hi, end_lo, end_hi), (
+                lo, hi)
+
+    @pytest.mark.parametrize("slope", [None, 0.0, np.nan, np.inf, -np.inf])
+    def test_cubic_roots_are_the_array_roots(self, slope):
+        """x^3 - c on wide, narrow and ill-scaled brackets, from the true
+        end slopes or from a singular one, where numpy divides by zero and
+        the float iteration must start and step as it does."""
+        rng = np.random.default_rng(3)
+
+        def fun(x):
+            return x ** 3 - c, 3.0 * x * x
+        for c, lo, hi in zip(rng.uniform(1e-9, 8.0, 200).tolist(),
+                             rng.uniform(0.0, 1e-3, 200).tolist(),
+                             rng.uniform(2.0, 3.0, 200).tolist()):
+            end_lo, end_hi = fun(lo), fun(hi)
+            if slope is not None:
+                end_lo = (end_lo[0], slope)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                want = self._one_element(fun, lo, hi, end_lo, end_hi)
+            assert _bracketed_newton(fun, lo, hi, end_lo, end_hi) == want
+
+    def test_zero_slopes_bisect_as_the_array_iteration(self):
+        """A slope of 0, at the ends (a zero divisor in the Hermite start
+        when an end value is 0 too) or at an iterate, where numpy divides
+        by zero: the float iteration bisects, as the array one does."""
+        def fun(x):
+            return x - c, 0.0
+        for c, lo, hi in ((0.3, 0.0, 1.0), (0.7, 0.25, 0.75), (1.0, 0.0, 1.0),
+                          (0.0, 0.0, 2.0), (1e-300, 0.0, 1.0)):
+            end_lo, end_hi = fun(lo), fun(hi)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                want = self._one_element(fun, lo, hi, end_lo, end_hi)
+            assert _bracketed_newton(fun, lo, hi, end_lo, end_hi) == want
+            assert abs(want - c) <= 1e-15

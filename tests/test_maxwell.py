@@ -327,6 +327,54 @@ class TestTriplePoint:
         values = [pl.free_energy(params, m) for m in tp.minimizers]
         assert max(values) - min(values) <= 1e-12
 
+    @pytest.mark.parametrize("beta", [2.58, 2.6, 2.65, 2.7, 2.75, 2.77])
+    def test_matches_50_digit_reference(self, beta):
+        """s = nu2 of the pair member and m of the symmetric minimizer
+        against the triple point solved in 50-digit arithmetic: nu1 the
+        W-1 partner of s (Lambert W), L(m) = L(s) with L = log(alpha1 /
+        alpha3), and the depth gap zero.  At 2.58 the gap's slope in s is
+        3.5e-5, so the 1e-12 needs the gap summed in extended precision."""
+        mp = pytest.importorskip("mpmath")
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("no extended precision for the depth gap")
+        (sym,), (asym,) = mw._axis_split(pl.triple_point(beta).minimizers)
+        with mp.workdps(50):
+            b = mp.mpf(beta)
+
+            def system(m, s):
+                nu1 = mp.re(-mp.lambertw(-b * s * mp.exp(-b * s), -1) / b)
+                nu3 = 1 - nu1 - s
+                log_ratio = mp.log(s / nu3) + b * (nu3 - s)
+                mu, nu = (m, m, 1 - 2 * m), (nu1, s, nu3)
+                return (mp.log(m / (1 - 2 * m)) - 3 * b * m + b - log_ratio,
+                        sum(-b / 2 * (x * x - z * z) + x * mp.log(x)
+                            - z * mp.log(z) for x, z in zip(mu, nu))
+                        + (mu[2] - nu[2]) * log_ratio)
+            m, s = mp.findroot(system, (mp.mpf(sym[0]), mp.mpf(asym[1])))
+            assert abs(asym[1] - s) <= 1e-12 * s, float((asym[1] - s) / s)
+            assert abs(sym[0] - m) <= 1e-12 * m, float((sym[0] - m) / m)
+
+    @pytest.mark.parametrize("beta", [2.575, 18.0 / 7.0 + 3e-5])
+    def test_refinement_ends_where_the_gap_is_flat(self, monkeypatch, beta):
+        """Next to the butterfly temperature the depth gap is flat, its
+        slope in s 3.8e-6 at 2.575 and 2.3e-11 at 18/7 + 3e-5, so steps in
+        s soon move on its rounding alone: the refinement stops at the
+        gap's rounding level within a fixed number of segment curve
+        evaluations (the grid's and five iterates), or the triple point is
+        refused as not resolved."""
+        calls = []
+        curve = mw._segment_curve
+
+        def counted(*args):
+            calls.append(args)
+            return curve(*args)
+        monkeypatch.setattr(mw, "_segment_curve", counted)
+        try:
+            pl.triple_point(beta)
+        except pl.NumericalError as e:
+            assert "not resolved in double precision" in str(e)
+        assert len(calls) <= 6, len(calls)
+
     @pytest.mark.parametrize("beta", [2.6, 2.7])
     def test_one_census_of_one_field(self, monkeypatch, beta):
         """The triple point is a root on the segment curve; only the check

@@ -337,48 +337,74 @@ class TestRefinement:
 
     @staticmethod
     def _counted(monkeypatch):
-        """Count ``_branch_values`` calls: in all, and per refinement
-        round."""
-        calls, rounds = [0], []
+        """Count ``_branch_values`` calls: in all, and for each census (one
+        ``_reduced_roots`` call) the ``_bracketed_halley`` calls it makes, as
+        (evaluations, orders of the first one); ``_per_round`` sorts them
+        by round."""
+        calls, orders, censuses = [0], [], []
         branch_values = stationary._branch_values
         refine = stationary._bracketed_halley
+        reduced_roots = stationary._reduced_roots
 
         def counted(*args):
             calls[0] += 1
+            orders.append(args[4])
             return branch_values(*args)
 
         def round_counted(*args):
             before = calls[0]
             out = refine(*args)
-            rounds.append(calls[0] - before)
+            censuses[-1].append((calls[0] - before, orders[before]))
             return out
+
+        def census_counted(*args):
+            censuses.append([])
+            return reduced_roots(*args)
 
         monkeypatch.setattr(stationary, "_branch_values", counted)
         monkeypatch.setattr(stationary, "_bracketed_halley", round_counted)
-        return calls, rounds
+        monkeypatch.setattr(stationary, "_reduced_roots", census_counted)
+        return calls, censuses
+
+    @staticmethod
+    def _per_round(census):
+        """The evaluations of one census in each of its three rounds, 0 in
+        an empty round, which makes no ``_bracketed_halley`` call.  The
+        first call is the first round, as the other two refine next to the
+        split points it finds; after it, the F' round evaluates F''' (orders
+        4) and the F round does not (orders 3).  Each round runs once."""
+        kinds = [0] + [5 - o for _, o in census[1:]]
+        assert kinds == sorted(set(kinds)) and set(kinds) <= {0, 1, 2}, census
+        rounds = [0, 0, 0]
+        for kind, (evals, _) in zip(kinds, census):
+            rounds[kind] = evals
+        return rounds
 
     def test_work_per_census(self, rng, monkeypatch):
-        calls, rounds = self._counted(monkeypatch)
+        calls, censuses = self._counted(monkeypatch)
         cases = self._sweep(rng)
         for beta, a in cases:
             pl.census(pl.ModelParams(beta, pl.AprioriMeasure.from_array(a)))
+        assert len(censuses) == len(cases)
         assert calls[0] / len(cases) <= 3.5
-        assert max(rounds) <= 12
+        rounds = np.array([self._per_round(c) for c in censuses])
+        assert rounds.max() <= 12
         # rounds run: the F'' zeros, the F' zeros and the F roots in the
         # cells without a split point; the F' zeros in the cells the F''
         # zeros split; the F roots next to split points.  A split point
         # mostly settles where it starts and an F root takes two
         # evaluations, so the first round takes about two and the others
         # are mostly empty
-        assert np.mean(rounds[0::3]) <= 2.3, np.mean(rounds[0::3])
-        assert np.mean(rounds[1::3]) <= 0.1, np.mean(rounds[1::3])
-        assert np.mean(rounds[2::3]) <= 0.2, np.mean(rounds[2::3])
+        mean = rounds.mean(axis=0)
+        assert mean[0] <= 2.3, mean
+        assert mean[1] <= 0.1, mean
+        assert mean[2] <= 0.2, mean
         # at zero field the F'' and F' brackets next to the branch point
         # t = 1/beta are jumps, not zeros, and are skipped: refined, they
         # would bisect towards the jump
-        zero_field = rounds[-3 * 3:]
-        assert max(zero_field) <= 7, zero_field
-        assert max(zero_field[1::3] + zero_field[2::3]) == 0, zero_field
+        zero_field = rounds[-3:]
+        assert zero_field.max() <= 7, zero_field
+        assert zero_field[:, 1:].max() == 0, zero_field
 
     def test_work_per_round_in_a_batch(self, rng, monkeypatch):
         """A batch runs each round once for all its fields, and a round
@@ -386,12 +412,13 @@ class TestRefinement:
         sweep = self._sweep(rng)
         fields = [pl.AprioriMeasure.from_array(a)
                   for _, a in sweep[:12] + sweep[100:108]]
-        calls, rounds = self._counted(monkeypatch)
+        calls, censuses = self._counted(monkeypatch)
         betas = (1.5, 2.6, 3.0, pl.BETA_ELLIS_WANG, 3.9)
         for beta in betas:
             assert len(pl.censuses(beta, fields)) == 20
-        assert len(rounds) == 3 * len(betas)
-        assert max(rounds) <= 12, rounds
+        assert len(censuses) == len(betas)
+        rounds = np.array([self._per_round(c) for c in censuses])
+        assert rounds.max() <= 12, rounds
 
     def test_agrees_with_midpoint_newton(self, monkeypatch):
         rng = np.random.default_rng(7)
