@@ -368,11 +368,14 @@ def _point_arrays(points):
 
 def _maxwell_table(sections):
     """One ``Table`` of the sections' records in order.  A minimizer slot
-    that some section leaves unfilled is a list with ``None`` there."""
+    that some section leaves unfilled is a list with ``None`` there; one
+    that no section fills is left out (the writers write empty cells)."""
     sections = [sec for sec in sections if len(sec["index"])]
     table = {}
     for name, _ in export.SCHEMAS["maxwell_point"]:
         parts = [sec.get(name) for sec in sections]
+        if parts and all(part is None for part in parts):
+            continue
         if all(part is not None for part in parts):
             table[name] = np.concatenate(parts) if parts else np.empty(0)
         else:

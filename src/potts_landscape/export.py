@@ -6,15 +6,18 @@ header row; floats are serialized as shortest round-trip decimals, so a
 reload reproduces the in-memory values bit for bit.  JSON files hold an
 array of flat objects with the same field names plus ``kind`` and
 ``schema_version``.  The writers take a ``Table`` of columns or a list of
-record dicts and write the rows a chunk at a time, formatting each
-distinct value of a column once and holding only the texts of values
-that repeat.  Both refuse a non-finite float with a ``NumericalError`` before writing
-anything; ``None`` marks an unused column (the spare Maxwell minimizer
-slots).  The readers raise ``DomainError`` on a malformed file.
+record dicts and write the rows a chunk at a time, each the bare cell texts
+between fixed separators; a float found in more than one row of a column
+is formatted once per write, whichever float columns hold it.  Both refuse
+a non-finite float (``NumericalError``) before writing anything; a missing
+column or a ``None`` cell is written empty.  ``read_csv`` parses a file
+with one call of numpy's C reader and releases the text before it builds
+the records.  The readers raise ``DomainError`` on a malformed file.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -83,24 +86,22 @@ class Table:
         return self._n
 
 
-def _table(records, names) -> Table:
-    """A ``Table``, or a list of record dicts transposed into one."""
-    if isinstance(records, Table):
-        return records
-    records = list(records)
-    return Table({name: [rec.get(name) for rec in records]
-                  for name in names})
+def _table(kind: str, records) -> tuple:
+    """The kind's column names and the records as a checked ``Table``."""
+    names = [name for name, _ in SCHEMAS[kind]]
+    if not isinstance(records, Table):
+        records = list(records)
+        records = Table({n: [rec.get(n) for rec in records] for n in names})
+    _refuse_non_finite(records, names)
+    return names, records
 
 
-def _text(value, name: str, as_json: bool) -> str:
+def _text(value, as_json: bool) -> str:
     """One cell: ``None`` is empty (``null``), a float its shortest
-    round-trip repr; non-finite floats are refused."""
+    round-trip repr (``_refuse_non_finite`` has refused the others)."""
     if value is None:
         return "null" if as_json else ""
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise NumericalError(f"refusing to write non-finite {name} = "
-                                 f"{value!r}")
         return float.__repr__(value)
     return json.dumps(value) if as_json else str(value)
 
@@ -109,9 +110,7 @@ def _refuse_non_finite(table: Table, names: list) -> None:
     """NumericalError on the first non-finite float of the named columns,
     in column order."""
     for name in names:
-        col = table.columns.get(name)
-        if col is None:
-            continue
+        col = table.columns.get(name, ())
         if isinstance(col, np.ndarray) and col.dtype.kind != "O":
             bad = col[~np.isfinite(col)] if col.dtype.kind == "f" else []
         else:
@@ -122,47 +121,67 @@ def _refuse_non_finite(table: Table, names: list) -> None:
                                  f"{float(bad[0])!r}")
 
 
-def _column(col, name: str, as_json: bool, prefix: str, suffix: str):
-    """The function (start, stop) -> texts of those rows of one column,
-    with ``prefix`` and ``suffix`` attached.  In numeric and string arrays
-    every distinct value is formatted once: a value found in more than one
-    row when the write starts and held to its end, any other when its row
-    is written, so a column of distinct values holds no text beyond the
-    chunk being written.  Floats are told apart by bit pattern, so -0.0
-    stays apart from 0.0."""
-    if col is None:
-        empty = prefix + _text(None, name, as_json) + suffix
-        return lambda start, stop: [empty] * (stop - start)
-    if not (isinstance(col, np.ndarray) and col.dtype.kind in "fiubU"):
-        return lambda start, stop: [prefix + _text(v, name, as_json) + suffix
-                                    for v in col[start:stop]]
-    is_float = col.dtype.kind == "f"
-    if is_float:
-        col = col.astype(np.float64, copy=False).view(np.int64)
+def _float_texts(bits) -> list:
+    """Shortest round-trip texts of the doubles with these bit patterns."""
+    return list(map(float.__repr__, bits.view(np.float64).tolist()))
 
-    def texts(values):
-        if is_float:
-            out = list(map(float.__repr__, values.view(np.float64).tolist()))
-        else:
-            out = [_text(v, name, as_json) for v in values.tolist()]
-        if prefix or suffix:
-            out = [prefix + text + suffix for text in out]
-        return out
 
-    keys, index, counts = np.unique(col, return_inverse=True,
+def _held(values):
+    """The sorted values whose texts are held (those that repeat, or all in
+    a table of one chunk) and each row's slot among them, -1 if not held."""
+    keys, index, counts = np.unique(values, return_inverse=True,
                                     return_counts=True)
-    once = counts == 1
-    # the texts of repeated values, then a slot for the others
-    held = np.array(texts(keys[~once]) + [None], dtype=object)
-    slot = np.where(once, -1, np.cumsum(~once) - 1).astype(np.int32)[index]
+    once = (counts == 1) & (len(values) > _CHUNK)
+    slot = np.where(once, -1, np.cumsum(~once) - 1).astype(np.int32)
+    return keys[~once], slot[index]
+
+
+def _chunks(values, slot, held, texts):
+    """The function (start, stop) -> cell texts of those rows: the ``held``
+    text of a row's slot, else ``texts`` of its value."""
+    held = np.array([*held, None], object)  # slot -1 is None
+    if len(held) == 1:  # holds less than the masked path below
+        return lambda start, stop: texts(values[start:stop])
 
     def chunk(start, stop):
         at = slot[start:stop]
-        out = held[at]
-        single = at < 0
-        out[single] = np.array(texts(col[start:stop][single]), dtype=object)
+        out, single = held[at], at < 0
+        out[single] = np.array(texts(values[start:stop][single]), object)
         return out.tolist()
     return chunk
+
+
+def _columns(table: Table, names: list, as_json: bool) -> list:
+    """Each named column as the function (start, stop) -> its cell texts,
+    or as one text for all rows (a missing column).  The ``_held`` floats of
+    all columns are pooled (told apart by bit pattern: -0.0 is not 0.0)."""
+    out, floats = {}, {}
+    for name in names:
+        col = table.columns.get(name)
+        if col is None:
+            out[name] = _text(None, as_json)
+        elif not (isinstance(col, np.ndarray) and col.dtype.kind in "fiubU"):
+            out[name] = lambda start, stop, col=col: [
+                _text(v, as_json) for v in col[start:stop]]
+        elif col.dtype.kind == "f":
+            bits = col.astype(np.float64, copy=False).view(np.int64)
+            floats[name] = (bits, *_held(bits))
+        else:
+            def texts(values):
+                return [_text(v, as_json) for v in values.tolist()]
+            keys, slot = _held(col)
+            out[name] = _chunks(col, slot, texts(keys), texts)
+    # with an inverse np.unique argsorts as in ``_held``: without one it
+    # hashes (slower), and np.sort maps in a sort kernel (peak RSS)
+    if floats:
+        pool, at = np.unique(np.concatenate(
+            [keys for _, keys, _ in floats.values()]), return_inverse=True)
+        held, start = np.array(_float_texts(pool), object)[at], 0
+    for name, (bits, keys, slot) in floats.items():
+        out[name] = _chunks(bits, slot, held[start:start + len(keys)],
+                            _float_texts)
+        start += len(keys)
+    return [out[name] for name in names]
 
 
 # Rows are formatted, joined and written this many at a time (more rows
@@ -170,28 +189,29 @@ def _column(col, name: str, as_json: bool, prefix: str, suffix: str):
 _CHUNK = 1024
 
 
-def _write_rows(fh, table: Table, columns: list, row_sep: str) -> None:
-    """Every row: the texts of ``columns`` joined by ',', rows by
-    ``row_sep``."""
-    for start in range(0, len(table), _CHUNK):
-        stop = min(start + _CHUNK, len(table))
-        cells = [column(start, stop) for column in columns]
+def _write_rows(fh, n: int, seps: list, columns: list, row_sep: str) -> None:
+    """Rows of ``seps[0]``, a cell of each column, ``seps[1]``, ... joined,
+    joined by ``row_sep``; a column given as one text joins the ``seps``."""
+    parts = [seps[0]]
+    for column, sep in zip(columns, seps[1:]):
+        parts[-1:] = ([parts[-1] + column + sep] if isinstance(column, str)
+                      else [parts[-1], column, sep])
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        cells = [itertools.repeat(part, stop - start) if isinstance(part, str)
+                 else part(start, stop) for part in parts]
         if start:
             fh.write(row_sep)
-        fh.write(row_sep.join(map(",".join, zip(*cells))))
+        fh.write(row_sep.join(map("".join, zip(*cells))))
 
 
 def write_csv(fh, kind: str, records) -> None:
     """CSV of a ``Table`` or a list of record dicts.  Every column is
     checked before anything is written."""
-    names = [name for name, _ in SCHEMAS[kind]]
-    table = _table(records, names)
-    _refuse_non_finite(table, names)
-    fh.write(f"{MAGIC} {kind}\n")
-    fh.write(",".join(names) + "\n")
-    columns = [_column(table.columns.get(name), name, False, "",
-                       "\n" if name == names[-1] else "") for name in names]
-    _write_rows(fh, table, columns, "")
+    names, table = _table(kind, records)
+    fh.write(f"{MAGIC} {kind}\n" + ",".join(names) + "\n")
+    _write_rows(fh, len(table), ["", *[","] * (len(names) - 1), "\n"],
+                _columns(table, names, False), "")
 
 
 def write_json(fh, kind: str, records) -> None:
@@ -200,39 +220,32 @@ def write_json(fh, kind: str, records) -> None:
     object starts with ``kind`` and ``schema_version``; a column of the
     same name (the census ``kind``) takes that first slot.  Every column
     is checked before anything is written."""
-    names = [name for name, _ in SCHEMAS[kind]]
-    table = _table(records, names)
-    _refuse_non_finite(table, names)
-    constants = {"kind": kind, "schema_version": SCHEMA_VERSION}
-    fields = list(dict.fromkeys([*constants, *names]))
-    columns, prefix = [], " {"
-    for field in fields:
-        prefix += f"\n  {json.dumps(field)}: "
-        if field not in names:
-            prefix += json.dumps(constants[field]) + ","
-            continue
-        suffix = "\n }" if field == fields[-1] else ""
-        columns.append(_column(table.columns.get(field), field, True, prefix,
-                               suffix))
-        prefix = ""
+    names, table = _table(kind, records)
     if not len(table):
         fh.write("[]\n")
         return
+    cells = {"kind": json.dumps(kind), "schema_version": str(SCHEMA_VERSION),
+             **dict(zip(names, _columns(table, names, True)))}
+    seps = [("," if k else " {") + f"\n  {json.dumps(field)}: "
+            for k, field in enumerate(cells)]
     fh.write("[\n")
-    _write_rows(fh, table, columns, ",\n")
+    _write_rows(fh, len(table), seps + ["\n }"], list(cells.values()), ",\n")
     fh.write("\n]\n")
 
 
 def _records(rows: list, columns, text: bool) -> list:
     """Records from one call of numpy's C reader; with ``text``, numeric
-    cells are read as text and parsed by float and int ('' is None)."""
+    cells are read as text and parsed by float and int ('' is None).
+    ``rows`` is emptied once every cell is parsed."""
     table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1, dtype=[
         (name, object if text or t is str else t) for name, t in columns])
+    parsed = {name: [typ(cell) if cell != "" else None
+                     for cell in table[name].tolist()]
+              for name, typ in columns} if text else {}
+    rows.clear()
     records = [{} for _ in range(len(table))]
-    for name, typ in columns:
-        values = table[name].tolist()
-        if text:
-            values = [typ(cell) if cell != "" else None for cell in values]
+    for name, _ in columns:
+        values = parsed.pop(name) if text else table[name].tolist()
         for rec, value in zip(records, values):
             rec[name] = value
     return records
@@ -241,7 +254,7 @@ def _records(rows: list, columns, text: bool) -> list:
 def _refuse(path: str, columns, lines: list) -> None:
     """DomainError at the first bad body line, if Python finds one."""
     for lineno, line in enumerate(lines, start=3):
-        if not line or line.startswith("#"):
+        if not line:
             continue
         cells = line.split(",")
         if len(cells) != len(columns):
@@ -271,18 +284,20 @@ def read_csv(path: str):
         if names != [name for name, _ in columns]:
             raise DomainError(f"column mismatch for kind {kind!r} in {path}")
         body = fh.read()
-    lines = body.split("\n")
-    rows = [ln for ln in lines if ln[:1] != "#"] if "#" in body else lines
+    rows = body.split("\n")
+    if "#" in body:  # a comment line becomes an empty one: both are skipped
+        rows = ["" if row[:1] == "#" else row for row in rows]
     if not any(rows):  # numpy warns on a body without rows
         return kind, []
     # numbers are read as text where numpy refuses them (an empty cell) or
     # misreads them (it takes \x1c-\x1f for spaces and letters for digits)
     text = (not body.isascii() or any(c in body for c in "\x1c\x1d\x1e\x1f")
             or any(r[:1] == "," or r[-1:] == "," or ",," in r for r in rows))
+    del body
     try:
         return kind, _records(rows, columns, text)
     except ValueError:
-        _refuse(path, columns, lines)
+        _refuse(path, columns, rows)
     return kind, _records(rows, columns, True)
 
 

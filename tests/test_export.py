@@ -223,6 +223,110 @@ def test_maxwell_write_fits_the_record_budget(tmp_path):
         assert peak <= n * cli._RECORD_BYTES, (writer.__name__, peak / n)
 
 
+def maxwell_sections(rng, layout):
+    return [cli._maxwell_section(2.6, name, rng.dirichlet((1, 1, 1), m),
+                                 rng.random(m),
+                                 rng.dirichlet((1, 1, 1), (m, k)))
+            for name, m, k in layout]
+
+
+def test_unfilled_minimizer_slots_are_left_out():
+    """A minimizer slot that no section fills is no column of the table;
+    one that some section fills holds None elsewhere.  Both are written
+    as empty cells."""
+    table = cli._maxwell_table(maxwell_sections(
+        np.random.default_rng(2), (("segment", 5, 2), ("triple", 1, 3))))
+    assert not any(name.startswith("m4_") for name in table.columns)
+    assert table.columns["m3_nu1"][:5] == [None] * 5
+    assert table.columns["m3_nu1"][5] is not None
+    records = [dict(zip(table.columns, row)) for row in zip(
+        *(c if isinstance(c, list) else c.tolist()
+          for c in table.columns.values()))]
+    assert_same_text(written(write_csv, "maxwell_point", table),
+                     oracle_csv("maxwell_point", records))
+    assert_same_text(written(write_json, "maxwell_point", table),
+                     oracle_json("maxwell_point", records))
+
+
+# ---------------------------------------------------------------------------
+# float values shared between columns
+# ---------------------------------------------------------------------------
+
+def shared_floats_table(rng, n):
+    """(Table, record dicts) of slice points whose float columns share
+    values: permuted copies of one column, -0.0 in one column and 0.0 in
+    another, a value repeated in one column and found once in another, and
+    a float32 column whose values a float64 column holds too."""
+    base = random_floats(rng, n)
+    perm = rng.permutation(n)
+    zero = rng.random(n) < 0.3
+    once = np.linspace(1.0, 2.0, n)
+    once[n // 2:n // 2 + 1] = base[:1]
+    single = rng.standard_normal(n).astype(np.float32)
+    columns = {
+        "beta": np.full(n, 2.9), "branch": np.full(n, "W0"),
+        "interval": np.arange(n), "x_param": base, "nu1": base[perm],
+        "nu2": base[perm][::-1], "nu3": np.where(zero, -0.0, base),
+        "alpha1": np.where(zero[perm], 0.0, base[::-1]), "alpha2": once,
+        "alpha3": np.where(np.arange(n) % 3 == 0, base[:1], once[::-1]),
+        "p": single, "q": single.astype(np.float64)[perm]}
+    records = [dict(zip(columns, row)) for row in
+               zip(*(col.tolist() for col in columns.values()))]
+    return Table(columns), records
+
+
+@pytest.mark.parametrize("chunk", [3, 1024])
+@pytest.mark.parametrize("n", [0, 1, 7, 3000])
+def test_floats_shared_between_columns_match_oracles(monkeypatch, chunk, n):
+    """The texts pooled across the float columns are the texts of their own
+    values, in CSV and JSON, whether a table is one chunk or many."""
+    monkeypatch.setattr(export, "_CHUNK", chunk)
+    table, records = shared_floats_table(np.random.default_rng(n), n)
+    if n > 1:
+        nu3, alpha1 = table.columns["nu3"], table.columns["alpha1"]
+        assert (np.signbit(nu3) & (nu3 == 0)).any()
+        assert (~np.signbit(alpha1) & (alpha1 == 0)).any()
+        assert table.columns["p"].dtype == np.float32
+    assert_same_text(written(write_csv, "slice_point", table),
+                     oracle_csv("slice_point", records))
+    assert_same_text(written(write_json, "slice_point", table),
+                     oracle_json("slice_point", records))
+
+
+@pytest.mark.parametrize("argv,formatted", [
+    (["slice", "--beta", "2.9"], 18001),
+    (["surface", "--grid", "128", "--beta-max", "4"], 24336)])
+def test_each_repeated_float_formatted_once(tmp_path, monkeypatch, argv,
+                                            formatted):
+    """The permuted copies of the fold points are formatted once per file:
+    18,001 and 24,336 reprs, where one repr per distinct value of each
+    column took 33,601 and 29,713."""
+    counts = []
+    texts = export._float_texts
+    monkeypatch.setattr(export, "_float_texts",
+                        lambda bits: counts.append(len(bits)) or texts(bits))
+    assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+    assert sum(counts) == formatted
+
+
+def test_read_csv_peak_stays_near_its_records(tmp_path):
+    """Reading the 8,099-row surface CSV peaks at most 1.25 times the
+    records it returns: the file's text is released before the record
+    dicts are built."""
+    path = str(tmp_path / "surface.csv")
+    assert cli.main(["surface", "--grid", "128", "--beta-max", "4",
+                     "--out", path]) == 0
+    read_csv(path)
+    tracemalloc.start()
+    try:
+        kind, records = read_csv(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kind == "surface_point" and len(records) == 8099
+    assert peak <= 1.25 * held, (peak, held)
+
+
 def test_non_ascii_text_in_json():
     rec = {"beta": 2.9, "branch": "βü日😀", "interval": 0}
     text = written(write_json, "slice_point", Table(
