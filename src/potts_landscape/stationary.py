@@ -15,11 +15,11 @@ The stationary points are the roots of ``F_b(t) = t + x_i + x_j - 1`` over
 the four branch pairs b, bracketed by a scan of F whose samples include
 the zeros of F'' and F' (refined only until they settle which cell a root
 of F lies in), refined by Halley steps from the roots of cubic Hermite
-interpolants, polished by a few Newton steps on the local gradient and
-classified through the Hessian spectrum.  ``census`` wraps this into the
-minima count that settles a parameter point's cell of the phase diagram;
-``censuses`` solves many fields at one beta together, sharing the samples
-and every refinement round, and ``census`` is its batch of one.
+interpolants (a root of F mostly ends on the first, its branch values
+carried by Taylor), then polished by Newton steps on the local gradient
+and classified through the Hessian spectrum.  ``census`` counts the minima
+that settle a parameter point's cell of the phase diagram; ``censuses``
+solves many fields at one beta together, and ``census`` is its batch of one.
 
 Damped Newton from a barycentric seed lattice (``newton_stationary``,
 ``stationary_points_from_seeds``) is kept only as the tests' independent
@@ -233,6 +233,10 @@ _PAIRS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
 _TANGENT_TOL = 1e-12
 # Correction, relative to t, that settles a zero of F'' or F' as a split.
 _SPLIT_TOL = 1e-8
+# A root t of F ends at t - dx on its Halley correction where the next error,
+# at most (|F''/2F'|^2 + |F'''/6F'|) |dx|^3, and the remainders |x'''| |dx|^3
+# / 6 of its ``_carried`` branch values x are below this share of t and x.
+_FINISH_TOL = 2.0 ** -55  # a quarter of the rounding unit
 
 
 def _lambert_log(d, upper):
@@ -255,10 +259,9 @@ def _lambert_log(d, upper):
     for _ in range(2):
         em1 = np.expm1(eta)
         h = em1 - eta - d
-        den = 2.0 * em1 * em1 - h * (em1 + 1.0)
-        eta = eta - np.where(den != 0.0, 2.0 * h * em1 / den, 0.0)
-        eta = np.where(upper, np.maximum(eta, 0.0), np.minimum(eta, 0.0))
-    return np.where(np.abs(p) < 1e-2, series, eta)
+        eta = eta - 2.0 * h * em1 / (2.0 * em1 * em1 - h * (em1 + 1.0))
+    eta = np.where(upper, np.maximum(eta, 0.0), np.minimum(eta, 0.0))
+    return np.where(np.abs(p) < 1e-2, series, eta)  # also the 0/0 at d = 0
 
 
 def _branch_gap(s):
@@ -346,6 +349,10 @@ def _scan(beta: float, log_r, t, orders: int = 4):
     return out, xs
 
 
+def _carried(xs, d):  # x at t + d from x, x', x'' at t; x itself where d = 0
+    return np.where(d != 0.0, xs[0] + d * (xs[1] + 0.5 * d * xs[2]), xs[0])
+
+
 # Rows of the sample table of ``_reduced_roots``, a column per sample: t,
 # field, log ratios, index among the kept branch values, on each pair the
 # order of the zero it is (2: F'', 1: F', else 0), then F to F''' on each.
@@ -372,9 +379,8 @@ def _reduced_roots(beta: float, alphas: np.ndarray):
     or once the next lower derivative settles it by value, |F'| > 2 |F''
     dx| or |F| > 2 |F' dx|: monotone up to the zero, it keeps its sign.  So
     F keeps the sign of the exact zero; smaller |F|, a possible A3 or
-    tangential root, refines to rounding.  A census takes about three
-    evaluations (the scan, two in the first round), and each root keeps
-    the branch values of the one that found it.  Roots come from sign
+    tangential root, refines to rounding.  A root of F mostly ends on its
+    first Halley correction (``_FINISH_TOL``).  Roots come from sign
     changes of F, exact zeros, zeros of F'' where F is at rounding level
     (A3 points) and tangential extrema; a root on a branch point, where a
     tie in alpha makes two branches meet, shows up in several pairs.  A
@@ -399,35 +405,41 @@ def _reduced_roots(beta: float, alphas: np.ndarray):
     kept = [x[0].reshape(4, 2, -1)]  # branch values, by _INDEX
     roots, pairs = [], []
 
-    def split(order, j, b):
+    def split(order, j, b, orders=4):
         """Zeros of derivative ``order[i]`` of F on pair ``b[i]`` after column
-        ``j[i]``: those of F'' and F' join the samples, those of F are roots;
-        the last evaluation, where each bracket ends, joins ``kept``."""
+        ``j[i]``: zeros of F'' and F' become samples, zeros of F are roots."""
         nonlocal table
         if not len(j):  # as the second and third rounds nearly always are
             return
         log_r, at = table[_LOG_R].take(j, axis=1), np.arange(len(j))
-        orders, pick, flat = 3 + order.any(), order + _DERIVS, b * len(j) + at
+        pick, flat = order + _DERIVS, b * len(j) + at
         value = np.zeros((5, len(j)))  # F'''' as 0: Newton steps for F''
         tol, index = _SPLIT_TOL * (order > 0), sum(a.shape[-1] for a in kept)
-        last = np.empty((4, 4, 0)), np.empty((4, 4, 2, 0))
+        last = [None] * 3  # of the last evaluation
 
-        def fun(x):
-            nonlocal last
-            last = _scan(beta, log_r, x, orders)
-            last[0].reshape(orders, -1).take(flat, axis=1, out=value[:orders])
+        def fun(x):  # keeps -dx where Halley's correction dx ends a root of F
+            last[:2] = out, xs = _scan(beta, log_r, x, orders)
+            out.reshape(orders, -1).take(flat, axis=1, out=value[:orders])
+            f, df, d2f, d3f = value[:4]  # F''' is 0 in the round without it
+            dx = f / df / (1.0 - 0.5 * f * d2f / (df * df))
+            cube = np.abs(dx) ** 3 / _FINISH_TOL
+            # x - dx keeps x's side of 1/beta, where a tie swaps branches
+            ok = (beta * x > 1.0) == (beta * (x - dx) > 1.0)
+            ok &= (np.abs(xs[-1]) * cube <= 6.0 * xs[0]).all((0, 1))
+            ok &= cube * ((0.5 * d2f / df) ** 2 + np.abs(d3f / df) / 6.0) <= x
+            last[2] = np.where(ok & (order == 0) & (orders > 3), -dx, 0.0)
             return value[pick, at]
 
         def settled(x, size):  # sorts the samples as the zero would
             return (((size <= tol * x) | (np.abs(value[order - 1, at]) > (
                 2.0 * size) * np.abs(value[order, at])))
-                    & (np.abs(value[0]) > _TANGENT_TOL))
+                    & (np.abs(value[0]) > _TANGENT_TOL)) | (last[2] != 0.0)
         ends = table[_F + 4 * order + b + _SLOPE, j + _ENDS]
         root = _bracketed_halley(fun, table[0, j], table[0, j + 1], *ends,
                                  settled)
-        kept.append(last[1][0])
+        kept.append(_carried(*last[1:]))  # where each bracket ends
         new = np.concatenate([
-            root[None], table[_FIELD:_INDEX, j], index + at[None],
+            (root + last[2])[None], table[_FIELD:_INDEX, j], index + at[None],
             order * (b == _PAIR_ROWS), last[0][:3].reshape(12, -1)])
         n = np.count_nonzero(order)  # the split points come first
         roots.append(new[:_INDEX + 1, n:])
@@ -464,7 +476,7 @@ def _reduced_roots(beta: float, alphas: np.ndarray):
     new = (order != 0.0).any(0)
     b, j = np.nonzero(changes(f) & ~(zero[:, :-1] | zero[:, 1:])
                       & (new[:-1] | new[1:]))
-    split(np.zeros_like(j), j, b)
+    split(np.zeros_like(j), j, b, 3)
     b_zero, k_zero = np.nonzero(zero)
     # an extremum within _TANGENT_TOL of zero with no sign change on
     # either side touches zero: a double root at a fold
